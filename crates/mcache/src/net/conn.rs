@@ -144,7 +144,15 @@ impl Connection {
     /// One pump round: flush pending writes, drain the socket, dispatch
     /// every complete frame, flush again. Works identically for both
     /// backends; see [`Pump`] for what the worker does with the result.
-    pub(crate) fn pump(&mut self, cache: &McCache, w: usize, shared: &Shared) -> Pump {
+    /// `chunk` is the worker's read buffer (`read_chunk` bytes), reused
+    /// across pumps and connections.
+    pub(crate) fn pump(
+        &mut self,
+        cache: &McCache,
+        w: usize,
+        shared: &Shared,
+        chunk: &mut [u8],
+    ) -> Pump {
         let mut busy = false;
         if !self.flush(shared, &mut busy) {
             return Pump::closed(busy);
@@ -167,11 +175,10 @@ impl Connection {
             }
             return Pump { keep: true, busy, repump: false };
         }
-        let mut chunk = vec![0u8; shared.cfg.read_chunk];
         let mut peer_closed = false;
         let mut hit_read_cap = true;
         for _ in 0..MAX_READS_PER_PUMP {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     peer_closed = true;
                     hit_read_cap = false;

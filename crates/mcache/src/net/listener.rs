@@ -185,6 +185,7 @@ fn poll_loop(shared: &Arc<Shared>, io: WorkerIo, w: usize) {
     #[cfg(unix)]
     let mut unix_backoff: Option<Instant> = None;
     let mut last_sweep = Instant::now();
+    let mut chunk = vec![0u8; shared.cfg.read_chunk];
     while !shared.shutdown.load(Ordering::SeqCst) {
         let mut busy = false;
         let now = Instant::now();
@@ -216,7 +217,7 @@ fn poll_loop(shared: &Arc<Shared>, io: WorkerIo, w: usize) {
             busy |= b;
         }
         conns.retain_mut(|c| {
-            let p = c.pump(&shared.cache, w, shared);
+            let p = c.pump(&shared.cache, w, shared, &mut chunk);
             busy |= p.busy;
             if !p.keep {
                 shared.stats.curr_connections.fetch_sub(1, Ordering::Relaxed);
@@ -279,6 +280,8 @@ mod epoll_backend {
         /// (capped reads, budget-capped dispatch, swallow tails). While
         /// non-empty, the wait timeout is zero.
         hot: Vec<usize>,
+        /// The read buffer every pump on this worker reads into.
+        chunk: Vec<u8>,
     }
 
     impl EpollWorker<'_> {
@@ -297,7 +300,7 @@ mod epoll_backend {
             let Some(c) = self.slots.get_mut(slot).and_then(|s| s.as_mut()) else {
                 return; // closed earlier in this same event batch
             };
-            let p = c.pump(&self.shared.cache, self.w, self.shared);
+            let p = c.pump(&self.shared.cache, self.w, self.shared, &mut self.chunk);
             if !p.keep {
                 self.close_slot(slot);
                 return;
@@ -419,6 +422,7 @@ mod epoll_backend {
             slots: Vec::new(),
             free: Vec::new(),
             hot: Vec::new(),
+            chunk: vec![0u8; shared.cfg.read_chunk],
         };
         let mut events: Vec<Event> = Vec::new();
         // Edge-carry flags: a capped UDP drain or an fd-exhaustion

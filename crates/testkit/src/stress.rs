@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use tm::{
-    Abort, Algorithm, ClockShardStats, ContentionManager, SerialLockMode, SwitchError, TCell,
-    TmRuntime, Transaction,
+    Abort, Algorithm, ClockShardStats, ContentionManager, SerialLockMode, SwitchError, TBytes,
+    TCell, TmRuntime, Transaction,
 };
 
 use crate::rng::{mix_seed, Rng, SmallRng, SplitMix64};
@@ -1054,7 +1054,7 @@ pub mod chaos {
             .contention_manager(cfg.contention)
             .build();
         let init = initial_values(seed, cfg.cells);
-        let cells: Vec<TCell<u64>> = init.iter().copied().map(TCell::new).collect();
+        let heap = ro_heap(&init);
         let ticket = TCell::new(0u64);
 
         let mut round_rng = SplitMix64::seed_from_u64(mix_seed(seed, 0x0107));
@@ -1070,7 +1070,7 @@ pub mod chaos {
             let mut handles = Vec::new();
             for t in 0..cfg.threads {
                 let rt = &rt;
-                let cells = &cells;
+                let heap = &heap;
                 let ticket = &ticket;
                 let barrier = &barrier;
                 handles.push(s.spawn(move || {
@@ -1088,6 +1088,7 @@ pub mod chaos {
                         let lo = r * per_round;
                         let hi = ((r + 1) * per_round).min(cfg.txns_per_thread);
                         for j in lo..hi {
+                            let split = ro_range_split(seed, t, j, heap.len());
                             if ro_txn_promotes(seed, t, j) {
                                 let pre = ro_pre_reads(seed, t, j, cfg);
                                 let ops = txn_program(seed, t, j, cfg);
@@ -1101,7 +1102,7 @@ pub mod chaos {
                                         rt.atomic_ro(|tx| {
                                             let mut sink = 0u64;
                                             for &i in &pre {
-                                                sink = sink.wrapping_add(tx.read(&cells[i])?);
+                                                sink = sink.wrapping_add(heap_read(tx, heap, i)?);
                                             }
                                             std::hint::black_box(sink);
                                             let tk = tx.fetch_add(ticket, 1)?;
@@ -1111,7 +1112,7 @@ pub mod chaos {
                                                 tx.on_abort(|| {});
                                             }
                                             for &op in &ops {
-                                                apply_tx(tx, cells, op)?;
+                                                apply_tx_ranges(tx, heap, op, split)?;
                                             }
                                             Ok(tk)
                                         })
@@ -1131,12 +1132,8 @@ pub mod chaos {
                                     let _ = tm::take_thread_tally();
                                     let attempt = catch_unwind(AssertUnwindSafe(|| {
                                         rt.atomic_ro(|tx| {
-                                            let tk = tx.read(ticket)?;
-                                            let mut snap = Vec::with_capacity(cells.len());
-                                            for c in cells.iter() {
-                                                snap.push(tx.read(c)?);
-                                            }
-                                            Ok((tk, snap))
+                                            let snap = heap_snapshot(tx, heap, split)?;
+                                            Ok((tx.read(ticket)?, snap))
                                         })
                                     }));
                                     match attempt {
@@ -1173,7 +1170,7 @@ pub mod chaos {
             seed,
             cfg,
             init,
-            &cells,
+            &heap,
             &ticket,
             writes,
             snaps,
@@ -1458,6 +1455,81 @@ pub fn ro_pre_reads(seed: u64, thread: usize, txn: usize, cfg: &StressConfig) ->
     (0..n).map(|_| rng.gen_range(0..cfg.cells)).collect()
 }
 
+/// Where transaction `txn` of thread `thread` in the read-mostly schedule
+/// splits its byte ranges: a promoter writes each cell as the byte ranges
+/// `..k` and `k..` (0..=8, so most writes are two read-merged partial
+/// words), a reader snapshots the heap as two ranges cut at `k` bytes.
+fn ro_range_split(seed: u64, thread: usize, txn: usize, heap_bytes: usize) -> usize {
+    let r = mix_seed(mix_seed(seed, 0x5917 + thread as u64), txn as u64) as usize;
+    if ro_txn_promotes(seed, thread, txn) {
+        r % 9
+    } else {
+        r % (heap_bytes + 1)
+    }
+}
+
+/// Reads cell `i` of a read-mostly heap (backing word `i`) as one byte
+/// range.
+fn heap_read<'env, Tx: Transaction<'env>>(
+    tx: &mut Tx,
+    heap: &'env TBytes,
+    i: usize,
+) -> Result<u64, Abort> {
+    let mut b = [0u8; 8];
+    tx.read_bytes(heap, i * 8, &mut b)?;
+    Ok(u64::from_le_bytes(b))
+}
+
+/// Writes cell `i` as the byte ranges `..split` and `split..`.
+fn heap_write<'env, Tx: Transaction<'env>>(
+    tx: &mut Tx,
+    heap: &'env TBytes,
+    i: usize,
+    v: u64,
+    split: usize,
+) -> Result<(), Abort> {
+    let b = v.to_le_bytes();
+    tx.write_bytes(heap, i * 8, &b[..split])?;
+    tx.write_bytes(heap, i * 8 + split, &b[split..])
+}
+
+/// [`apply_tx`] over a byte-range heap.
+fn apply_tx_ranges<'env, Tx: Transaction<'env>>(
+    tx: &mut Tx,
+    heap: &'env TBytes,
+    op: StressOp,
+    split: usize,
+) -> Result<(), Abort> {
+    let (dst, v) = match op {
+        StressOp::Write(i, v) => (i, v),
+        StressOp::Add(i, d) => (i, heap_read(tx, heap, i)?.wrapping_add(d)),
+        StressOp::Copy(a, b) => (b, heap_read(tx, heap, a)?),
+        StressOp::Mix(a, b) => (b, mix_values(heap_read(tx, heap, a)?, heap_read(tx, heap, b)?)),
+    };
+    heap_write(tx, heap, dst, v, split)
+}
+
+/// A reader's snapshot of the whole heap: two byte ranges cut at `cut`.
+fn heap_snapshot<'env, Tx: Transaction<'env>>(
+    tx: &mut Tx,
+    heap: &'env TBytes,
+    cut: usize,
+) -> Result<Vec<u64>, Abort> {
+    let mut bytes = vec![0u8; heap.len()];
+    tx.read_bytes(heap, 0, &mut bytes[..cut])?;
+    tx.read_bytes(heap, cut, &mut bytes[cut..])?;
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte cell")))
+        .collect())
+}
+
+/// The read-mostly schedules' heap: cell `i` is backing word `i`.
+fn ro_heap(init: &[u64]) -> TBytes {
+    let bytes: Vec<u8> = init.iter().flat_map(|v| v.to_le_bytes()).collect();
+    TBytes::from_slice(&bytes)
+}
+
 /// A passed read-mostly schedule's measurements.
 #[derive(Clone, Debug)]
 pub struct RoStressReport {
@@ -1477,6 +1549,12 @@ pub struct RoStressReport {
 /// begins on the read-only fast lane (`atomic_ro`); a seed-derived quarter
 /// promote mid-flight by taking a ticket and writing, the rest snapshot the
 /// ticket cell plus the whole heap without ever leaving the fast lane.
+/// The heap is one [`TBytes`] reached only through byte ranges. Readers
+/// snapshot it as two `read_bytes` ranges cut at a seed-derived byte,
+/// before reading the ticket. Promoters read cells as 8-byte ranges and
+/// write each cell as two `write_bytes` ranges split inside the word
+/// (`ro_range_split`). So the engines' range accessors and the
+/// partial-word read-merge carry the whole schedule.
 ///
 /// Two oracles run:
 ///
@@ -1523,7 +1601,7 @@ fn run_schedule_ro_impl(
         .contention_manager(cfg.contention)
         .build();
     let init = initial_values(seed, cfg.cells);
-    let cells: Vec<TCell<u64>> = init.iter().copied().map(TCell::new).collect();
+    let heap = ro_heap(&init);
     let ticket = TCell::new(0u64);
 
     let mut round_rng = SplitMix64::seed_from_u64(mix_seed(seed, 0x0107));
@@ -1538,7 +1616,7 @@ fn run_schedule_ro_impl(
         let mut handles = Vec::new();
         for t in 0..cfg.threads {
             let rt = &rt;
-            let cells = &cells;
+            let heap = &heap;
             let ticket = &ticket;
             let barrier = &barrier;
             handles.push(s.spawn(move || {
@@ -1553,6 +1631,7 @@ fn run_schedule_ro_impl(
                     let lo = r * per_round;
                     let hi = ((r + 1) * per_round).min(cfg.txns_per_thread);
                     for j in lo..hi {
+                        let split = ro_range_split(seed, t, j, heap.len());
                         if ro_txn_promotes(seed, t, j) {
                             let pre = ro_pre_reads(seed, t, j, cfg);
                             let ops = txn_program(seed, t, j, cfg);
@@ -1561,25 +1640,24 @@ fn run_schedule_ro_impl(
                                 // the promotion and be revalidated.
                                 let mut sink = 0u64;
                                 for &i in &pre {
-                                    sink = sink.wrapping_add(tx.read(&cells[i])?);
+                                    sink = sink.wrapping_add(heap_read(tx, heap, i)?);
                                 }
                                 std::hint::black_box(sink);
                                 // First write of the attempt: promotes.
                                 let tk = tx.fetch_add(ticket, 1)?;
                                 for &op in &ops {
-                                    apply_tx(tx, cells, op)?;
+                                    apply_tx_ranges(tx, heap, op, split)?;
                                 }
                                 Ok(tk)
                             });
                             my_writes.push((tk, t, j));
                         } else {
                             my_snaps.push(rt.atomic_ro(|tx| {
-                                let tk = tx.read(ticket)?;
-                                let mut snap = Vec::with_capacity(cells.len());
-                                for c in cells.iter() {
-                                    snap.push(tx.read(c)?);
-                                }
-                                Ok((tk, snap))
+                                // Heap first, ticket last: only the range
+                                // reads' own log entries can catch a
+                                // commit landing mid-snapshot.
+                                let snap = heap_snapshot(tx, heap, split)?;
+                                Ok((tx.read(ticket)?, snap))
                             }));
                         }
                     }
@@ -1596,7 +1674,7 @@ fn run_schedule_ro_impl(
     let stats = rt.stats().since(&before);
 
     let checked =
-        check_ro_oracle(seed, cfg, init, &cells, &ticket, writes, snaps, sabotage, "[ro] ")?;
+        check_ro_oracle(seed, cfg, init, &heap, &ticket, writes, snaps, sabotage, "[ro] ")?;
     if stats.ro_fast_commits == 0 || stats.ro_promotions == 0 {
         return Err(Divergence {
             seed,
@@ -1632,7 +1710,7 @@ fn check_ro_oracle(
     seed: u64,
     cfg: &StressConfig,
     init: Vec<u64>,
-    cells: &[TCell<u64>],
+    heap: &TBytes,
     ticket: &TCell<u64>,
     mut writes: Vec<(u64, usize, usize)>,
     mut snaps: Vec<(u64, Vec<u64>)>,
@@ -1709,9 +1787,9 @@ fn check_ro_oracle(
     if sabotage {
         model[0] = model[0].wrapping_add(1);
     }
-    for (i, cell) in cells.iter().enumerate() {
-        let actual = cell.load_direct();
-        if actual != model[i] {
+    for (i, &want) in model.iter().enumerate() {
+        let actual = heap.load_word_direct(i);
+        if actual != want {
             return Err(diverge(format!(
                 "{tag}cell {i}: concurrent result {actual:#x} != sequential model {:#x}",
                 model[i]

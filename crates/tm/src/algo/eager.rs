@@ -95,7 +95,15 @@ impl EagerTx {
         Ok(())
     }
 
-    pub(crate) fn read_word(
+    /// The orec read protocol for one word, shared by [`EagerTx::read_word`]
+    /// and [`EagerTx::read_range`]. `DEDUP` picks how the observation is
+    /// logged: single-word reads probe the read set and refresh an existing
+    /// entry, range reads append unconditionally. Both are sound: a second
+    /// entry for an orec always holds the value the first one holds, since
+    /// an orec that moved past the snapshot forces an extension, whose
+    /// validation of the first entry fails (DESIGN.md §17).
+    #[inline(always)]
+    fn read_step<const DEDUP: bool>(
         &mut self,
         rt: &RtInner,
         bufs: &mut LogBufs,
@@ -118,11 +126,11 @@ impl EagerTx {
                 continue; // changed under us; re-sample
             }
             if orec::version_of(o1) <= self.start_time {
-                // A duplicate entry would only make validation longer:
-                // keep the latest consistent observation (it can differ
-                // from the logged one only after an extension refreshed
-                // the whole read set).
-                if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
+                if !DEDUP {
+                    bufs.reads.push((idx, o1));
+                } else if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
+                    // A duplicate entry would only make validation longer:
+                    // keep the latest consistent observation.
                     bufs.reads[slot].1 = o1;
                     bufs.dedup_hits += 1;
                 }
@@ -132,6 +140,30 @@ impl EagerTx {
         }
     }
 
+    pub(crate) fn read_word(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        addr: usize,
+    ) -> Result<u64, Abort> {
+        self.read_step::<true>(rt, bufs, addr)
+    }
+
+    /// Reads `dst.len()` consecutive words starting at `base`.
+    pub(crate) fn read_range(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        base: usize,
+        dst: &mut [u64],
+    ) -> Result<(), Abort> {
+        for (k, d) in dst.iter_mut().enumerate() {
+            *d = self.read_step::<false>(rt, bufs, base + 8 * k)?;
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
     pub(crate) fn write_word(
         &mut self,
         rt: &RtInner,

@@ -85,14 +85,22 @@ impl LazyTx {
         Ok(())
     }
 
-    pub(crate) fn read_word(
+    /// The orec read protocol for one word, shared by [`LazyTx::read_word`]
+    /// and [`LazyTx::read_range`]. `redo` says whether the write set may
+    /// hold the word (it is empty on every read-only attempt, which then
+    /// skips the lookup); `DEDUP` is as in the eager twin.
+    #[inline(always)]
+    fn read_step<const DEDUP: bool>(
         &mut self,
         rt: &RtInner,
         bufs: &mut LogBufs,
         addr: usize,
+        redo: bool,
     ) -> Result<u64, Abort> {
-        if let Some(v) = bufs.redo_lookup(addr) {
-            return Ok(v);
+        if redo {
+            if let Some(v) = bufs.redo_lookup(addr) {
+                return Ok(v);
+            }
         }
         let idx = rt.orecs.index_of(addr);
         loop {
@@ -109,9 +117,11 @@ impl LazyTx {
                 continue;
             }
             if orec::version_of(o1) <= self.start_time {
-                // Already logged: keep the latest consistent observation
-                // instead of appending a duplicate.
-                if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
+                if !DEDUP {
+                    bufs.reads.push((idx, o1));
+                } else if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
+                    // Already logged: keep the latest consistent
+                    // observation instead of appending a duplicate.
                     bufs.reads[slot].1 = o1;
                     bufs.dedup_hits += 1;
                 }
@@ -121,6 +131,32 @@ impl LazyTx {
         }
     }
 
+    pub(crate) fn read_word(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        addr: usize,
+    ) -> Result<u64, Abort> {
+        let redo = !bufs.writes.is_empty();
+        self.read_step::<true>(rt, bufs, addr, redo)
+    }
+
+    /// Reads `dst.len()` consecutive words starting at `base`.
+    pub(crate) fn read_range(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        base: usize,
+        dst: &mut [u64],
+    ) -> Result<(), Abort> {
+        let redo = !bufs.writes.is_empty();
+        for (k, d) in dst.iter_mut().enumerate() {
+            *d = self.read_step::<false>(rt, bufs, base + 8 * k, redo)?;
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
     pub(crate) fn write_word(
         &mut self,
         rt: &RtInner,

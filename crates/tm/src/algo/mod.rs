@@ -125,6 +125,50 @@ impl Engine {
         }
     }
 
+    /// Reads `dst.len()` consecutive words starting at address `base` (a
+    /// [`crate::TBytes`] window): one dispatch for the whole range.
+    pub(crate) fn read_range(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        base: usize,
+        dst: &mut [u64],
+    ) -> Result<(), Abort> {
+        match self {
+            Engine::Eager(e) => e.read_range(rt, bufs, base, dst),
+            Engine::Lazy(e) => e.read_range(rt, bufs, base, dst),
+            Engine::Norec(e) => e.read_range(rt, bufs, base, dst),
+            Engine::Serial => {
+                for (k, d) in dst.iter_mut().enumerate() {
+                    *d = tword_at(base + 8 * k).load_direct();
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Writes `src` to consecutive words starting at address `base`: one
+    /// dispatch for the whole range, then the engine's own per-word
+    /// write step (which keeps every lock, log and fault site).
+    pub(crate) fn write_range(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        base: usize,
+        src: &[u64],
+    ) -> Result<(), Abort> {
+        let mut words = src.iter().enumerate().map(|(k, &v)| (base + 8 * k, v));
+        match self {
+            Engine::Eager(e) => words.try_for_each(|(a, v)| e.write_word(rt, bufs, a, v)),
+            Engine::Lazy(e) => words.try_for_each(|(a, v)| e.write_word(rt, bufs, a, v)),
+            Engine::Norec(e) => words.try_for_each(|(a, v)| e.write_word(rt, bufs, a, v)),
+            Engine::Serial => {
+                words.for_each(|(a, v)| tword_at(a).store_direct(v));
+                Ok(())
+            }
+        }
+    }
+
     /// True if this attempt has written nothing (read-only commit path).
     pub(crate) fn is_read_only(&self, bufs: &LogBufs) -> bool {
         match self {

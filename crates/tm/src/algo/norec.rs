@@ -15,6 +15,7 @@ use crate::arena::LogBufs;
 use crate::error::Abort;
 use crate::fault::{self, FaultSite};
 use crate::runtime::RtInner;
+use std::sync::atomic::{fence, Ordering};
 
 /// Per-attempt state for the NOrec engine; logs live in the arena.
 #[derive(Debug)]
@@ -67,34 +68,83 @@ impl NorecTx {
         }
     }
 
+    /// The sequence-lock read protocol, shared by [`NorecTx::read_word`]
+    /// (one word) and [`NorecTx::read_range`]: sample the sequence lock
+    /// before the copy, copy every word, then one Acquire fence and one
+    /// sample after. An unchanged sequence means no commit began since
+    /// the snapshot, so every copied word is consistent at it. Words the
+    /// redo log holds come from the log and are not read-logged. `DEDUP`
+    /// is as in the orec engines.
+    #[inline(always)]
+    fn read_at<const DEDUP: bool>(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        base: usize,
+        dst: &mut [u64],
+    ) -> Result<(), Abort> {
+        let redo = !bufs.writes.is_empty();
+        let buffered = |bufs: &LogBufs, addr| if redo { bufs.redo_lookup(addr) } else { None };
+        loop {
+            if rt.seqlock.load() != self.snapshot {
+                // Sequence moved since our snapshot: revalidate (which
+                // also advances the snapshot) before copying.
+                self.validate(rt, bufs)?;
+            }
+            for (k, d) in dst.iter_mut().enumerate() {
+                let addr = base + 8 * k;
+                *d = buffered(bufs, addr).unwrap_or_else(|| tword_at(addr).load_relaxed());
+            }
+            // Pairs with a committer's Release write-back stores: if a
+            // relaxed load above read one, the committer's earlier CAS to
+            // an odd sequence happens-before the sample below, so the
+            // sample cannot still equal the snapshot.
+            fence(Ordering::Acquire);
+            if rt.seqlock.load() != self.snapshot {
+                continue;
+            }
+            for (k, &v) in dst.iter().enumerate() {
+                let addr = base + 8 * k;
+                if buffered(bufs, addr).is_some() {
+                    continue;
+                }
+                if !DEDUP {
+                    bufs.reads.push((addr, v));
+                } else if let Some(slot) = bufs.read_slot_or_append(addr, v) {
+                    // Already logged: refresh the observed value (both
+                    // observations are consistent at `snapshot`) instead
+                    // of appending a duplicate for validation to re-read.
+                    bufs.reads[slot].1 = v;
+                    bufs.dedup_hits += 1;
+                }
+            }
+            return Ok(());
+        }
+    }
+
     pub(crate) fn read_word(
         &mut self,
         rt: &RtInner,
         bufs: &mut LogBufs,
         addr: usize,
     ) -> Result<u64, Abort> {
-        if let Some(v) = bufs.redo_lookup(addr) {
-            return Ok(v);
-        }
-        loop {
-            let v = tword_at(addr).load_direct();
-            let t = rt.seqlock.load();
-            if t == self.snapshot {
-                // Already logged: refresh the observed value (both
-                // observations are consistent at `snapshot`) instead of
-                // appending a duplicate for validation to re-read.
-                if let Some(slot) = bufs.read_slot_or_append(addr, v) {
-                    bufs.reads[slot].1 = v;
-                    bufs.dedup_hits += 1;
-                }
-                return Ok(v);
-            }
-            // Sequence moved since our snapshot: revalidate (which also
-            // advances the snapshot), then re-read.
-            self.validate(rt, bufs)?;
-        }
+        let mut v = 0;
+        self.read_at::<true>(rt, bufs, addr, std::slice::from_mut(&mut v))?;
+        Ok(v)
     }
 
+    /// Reads `dst.len()` consecutive words starting at `base`.
+    pub(crate) fn read_range(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        base: usize,
+        dst: &mut [u64],
+    ) -> Result<(), Abort> {
+        self.read_at::<false>(rt, bufs, base, dst)
+    }
+
+    #[inline(always)]
     pub(crate) fn write_word(
         &mut self,
         rt: &RtInner,

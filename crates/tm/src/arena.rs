@@ -157,12 +157,14 @@ impl WriteMap {
         }
     }
 
-    /// Populates the table from a deduplicated redo log (the spill path
-    /// when a transaction outgrows the inline small-write scan).
-    pub(crate) fn rebuild(&mut self, writes: &[(usize, u64)]) {
+    /// Populates the table from a log (the spill path when a transaction
+    /// outgrows the inline scan). A key logged twice maps to its first
+    /// entry: the redo log never repeats a key, but range reads append to
+    /// the read log without the duplicate check.
+    pub(crate) fn rebuild(&mut self, log: &[(usize, u64)]) {
         self.clear();
-        for (idx, &(addr, _)) in writes.iter().enumerate() {
-            self.insert(addr, idx);
+        for (idx, &(key, _)) in log.iter().enumerate() {
+            self.get_or_insert(key, idx);
         }
     }
 
@@ -397,12 +399,9 @@ impl LogBufs {
                 self.wmap.rebuild(&self.writes);
             }
         } else {
-            match self.wmap.get(addr) {
+            match self.wmap.get_or_insert(addr, self.writes.len()) {
                 Some(i) => self.writes[i].1 = v,
-                None => {
-                    self.wmap.insert(addr, self.writes.len());
-                    self.writes.push((addr, v));
-                }
+                None => self.writes.push((addr, v)),
             }
         }
     }
@@ -416,6 +415,10 @@ type HandlerVec = Vec<Box<dyn FnOnce()>>;
 /// storage of the `onCommit`/`onAbort` handler vectors.
 pub(crate) struct Arena {
     pub(crate) logs: LogBufs,
+    /// Word staging for byte-range accesses: `read_bytes` copies a range
+    /// here in one engine call before unpacking it, `write_bytes` packs
+    /// into it before writing. Grows to the largest range, never shrinks.
+    words: Vec<u64>,
     commit_handlers: HandlerVec,
     abort_handlers: HandlerVec,
 }
@@ -424,6 +427,7 @@ impl Default for Arena {
     fn default() -> Self {
         Arena {
             logs: LogBufs::default(),
+            words: Vec::new(),
             commit_handlers: Vec::new(),
             abort_handlers: Vec::new(),
         }
@@ -467,6 +471,15 @@ impl Arena {
         let mut a = ARENA.with(|slot| slot.take()).unwrap_or_default();
         a.logs.prewarm();
         a
+    }
+
+    /// The log buffers plus `n` staging words (contents unspecified).
+    #[inline]
+    pub(crate) fn logs_and_words(&mut self, n: usize) -> (&mut LogBufs, &mut [u64]) {
+        if self.words.len() < n {
+            self.words.resize(n, 0);
+        }
+        (&mut self.logs, &mut self.words[..n])
     }
 
     /// Borrows the cached `onCommit` handler storage at the transaction's

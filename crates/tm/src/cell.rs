@@ -41,6 +41,13 @@ impl TWord {
         self.0.load(Ordering::Acquire)
     }
 
+    /// Relaxed load for NOrec's range copy, whose single Acquire fence
+    /// after the copy orders every word before the sequence-lock sample.
+    #[inline]
+    pub(crate) fn load_relaxed(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
     /// Non-transactional store; see [`TWord::load_direct`] for when this is
     /// appropriate.
     #[inline]

@@ -224,7 +224,8 @@ pub trait Transaction<'env>: sealed::Sealed {
         self.write_word(b.word(wi), merged)
     }
 
-    /// Transactional bulk read from a [`TBytes`] window into `dst`.
+    /// Transactional bulk read from a [`TBytes`] window into `dst`. One
+    /// engine call reads every word the window touches.
     ///
     /// # Errors
     ///
@@ -235,28 +236,11 @@ pub trait Transaction<'env>: sealed::Sealed {
     /// Panics if `offset + dst.len() > b.len()`.
     fn read_bytes(&mut self, b: &'env TBytes, offset: usize, dst: &mut [u8]) -> Result<(), Abort>
     where
-        Self: Sized,
-    {
-        assert!(
-            offset.checked_add(dst.len()).is_some_and(|e| e <= b.len()),
-            "TBytes range {offset}..{} out of bounds ({})",
-            offset + dst.len(),
-            b.len()
-        );
-        let mut i = 0;
-        while i < dst.len() {
-            let (wi, sh) = TBytes::locate(offset + i);
-            let first = (sh / 8) as usize;
-            let n = (8 - first).min(dst.len() - i);
-            let bytes = self.read_word(b.word(wi))?.to_le_bytes();
-            dst[i..i + n].copy_from_slice(&bytes[first..first + n]);
-            i += n;
-        }
-        Ok(())
-    }
+        Self: Sized;
 
-    /// Transactional bulk write into a [`TBytes`] window. Whole covered
-    /// words are written blind; partial edge words are read-merged.
+    /// Transactional bulk write into a [`TBytes`] window. One engine call
+    /// writes every word the window touches: whole covered words blind,
+    /// partial edge words read-merged first.
     ///
     /// # Errors
     ///
@@ -267,30 +251,7 @@ pub trait Transaction<'env>: sealed::Sealed {
     /// Panics if `offset + src.len() > b.len()`.
     fn write_bytes(&mut self, b: &'env TBytes, offset: usize, src: &[u8]) -> Result<(), Abort>
     where
-        Self: Sized,
-    {
-        assert!(
-            offset.checked_add(src.len()).is_some_and(|e| e <= b.len()),
-            "TBytes range {offset}..{} out of bounds ({})",
-            offset + src.len(),
-            b.len()
-        );
-        let mut i = 0;
-        while i < src.len() {
-            let (wi, sh) = TBytes::locate(offset + i);
-            let first = (sh / 8) as usize;
-            let n = (8 - first).min(src.len() - i);
-            let mut bytes = if n == 8 {
-                [0u8; 8]
-            } else {
-                self.read_word(b.word(wi))?.to_le_bytes()
-            };
-            bytes[first..first + n].copy_from_slice(&src[i..i + n]);
-            self.write_word(b.word(wi), u64::from_le_bytes(bytes))?;
-            i += n;
-        }
-        Ok(())
-    }
+        Self: Sized;
 
     /// Transactionally reads whole backing words of a [`TBytes`] —
     /// one orec/log entry per 8 bytes. This is the bulk primitive
@@ -306,19 +267,7 @@ pub trait Transaction<'env>: sealed::Sealed {
     /// Panics if `wi + dst.len() > b.word_count()`.
     fn read_words(&mut self, b: &'env TBytes, wi: usize, dst: &mut [u64]) -> Result<(), Abort>
     where
-        Self: Sized,
-    {
-        assert!(
-            wi.checked_add(dst.len()).is_some_and(|e| e <= b.word_count()),
-            "TBytes word range {wi}..{} out of bounds ({} words)",
-            wi + dst.len(),
-            b.word_count()
-        );
-        for (k, d) in dst.iter_mut().enumerate() {
-            *d = self.read_word(b.word(wi + k))?;
-        }
-        Ok(())
-    }
+        Self: Sized;
 
     /// Transactionally writes whole backing words of a [`TBytes`] — one
     /// orec/log entry per 8 bytes, no read-merge. The caller owns every
@@ -335,19 +284,7 @@ pub trait Transaction<'env>: sealed::Sealed {
     /// Panics if `wi + src.len() > b.word_count()`.
     fn write_words(&mut self, b: &'env TBytes, wi: usize, src: &[u64]) -> Result<(), Abort>
     where
-        Self: Sized,
-    {
-        assert!(
-            wi.checked_add(src.len()).is_some_and(|e| e <= b.word_count()),
-            "TBytes word range {wi}..{} out of bounds ({} words)",
-            wi + src.len(),
-            b.word_count()
-        );
-        for (k, &v) in src.iter().enumerate() {
-            self.write_word(b.word(wi + k), v)?;
-        }
-        Ok(())
-    }
+        Self: Sized;
 
     /// Transactional bulk copy of `src` into a [`TBytes`] window: the
     /// word-granular counterpart of a `memcpy` from private memory. Whole
@@ -428,6 +365,12 @@ impl<'env> TxInner<'env> {
 
     #[inline]
     pub(crate) fn write_word(&mut self, w: &'env TWord, v: u64) -> Result<(), Abort> {
+        self.promote();
+        self.engine.write_word(self.rt, &mut self.arena.logs, w.addr(), v)
+    }
+
+    #[inline]
+    fn promote(&mut self) {
         if self.ro {
             // In-flight promotion: from here on this attempt is a full
             // read-write transaction. The read set gathered so far stays
@@ -436,7 +379,104 @@ impl<'env> TxInner<'env> {
             self.ro = false;
             self.rt.stats.bump(&self.rt.stats.ro_promotions);
         }
-        self.engine.write_word(self.rt, &mut self.arena.logs, w.addr(), v)
+    }
+
+    pub(crate) fn read_words(
+        &mut self,
+        b: &'env TBytes,
+        wi: usize,
+        dst: &mut [u64],
+    ) -> Result<(), Abort> {
+        check_words(b, wi, dst.len());
+        if dst.is_empty() {
+            return Ok(());
+        }
+        self.engine.read_range(self.rt, &mut self.arena.logs, b.word(wi).addr(), dst)
+    }
+
+    pub(crate) fn write_words(
+        &mut self,
+        b: &'env TBytes,
+        wi: usize,
+        src: &[u64],
+    ) -> Result<(), Abort> {
+        check_words(b, wi, src.len());
+        if src.is_empty() {
+            return Ok(());
+        }
+        self.promote();
+        self.engine.write_range(self.rt, &mut self.arena.logs, b.word(wi).addr(), src)
+    }
+
+    /// Reads every word the window touches with one engine call, then
+    /// unpacks the window's bytes.
+    pub(crate) fn read_bytes(
+        &mut self,
+        b: &'env TBytes,
+        offset: usize,
+        dst: &mut [u8],
+    ) -> Result<(), Abort> {
+        check_bytes(b, offset, dst.len());
+        if dst.is_empty() {
+            return Ok(());
+        }
+        let (wi, skip, n) = word_span(offset, dst.len());
+        let (logs, words) = self.arena.logs_and_words(n);
+        self.engine.read_range(self.rt, logs, b.word(wi).addr(), words)?;
+        let head = (8 - skip).min(dst.len());
+        dst[..head].copy_from_slice(&words[0].to_le_bytes()[skip..skip + head]);
+        let mut whole = dst[head..].chunks_exact_mut(8);
+        for (d, w) in (&mut whole).zip(&words[1..]) {
+            d.copy_from_slice(&w.to_le_bytes());
+        }
+        let tail = whole.into_remainder();
+        let m = tail.len();
+        tail.copy_from_slice(&words[n - 1].to_le_bytes()[..m]);
+        Ok(())
+    }
+
+    /// Read-merges the partial head and tail words, packs the window's
+    /// bytes over them, and writes every touched word with one engine
+    /// call.
+    pub(crate) fn write_bytes(
+        &mut self,
+        b: &'env TBytes,
+        offset: usize,
+        src: &[u8],
+    ) -> Result<(), Abort> {
+        check_bytes(b, offset, src.len());
+        if src.is_empty() {
+            return Ok(());
+        }
+        let (wi, skip, n) = word_span(offset, src.len());
+        let end = skip + src.len();
+        let head = if skip != 0 || end < 8 {
+            Some(self.read_word(b.word(wi))?)
+        } else {
+            None
+        };
+        let tail = if n > 1 && !end.is_multiple_of(8) {
+            Some(self.read_word(b.word(wi + n - 1))?)
+        } else {
+            None
+        };
+        self.promote();
+        let (logs, words) = self.arena.logs_and_words(n);
+        let h = (8 - skip).min(src.len());
+        let mut bytes = head.unwrap_or(0).to_le_bytes();
+        bytes[skip..skip + h].copy_from_slice(&src[..h]);
+        words[0] = u64::from_le_bytes(bytes);
+        let mut whole = src[h..].chunks_exact(8);
+        for (w, s) in words[1..].iter_mut().zip(&mut whole) {
+            *w = u64::from_le_bytes(s.try_into().expect("8-byte chunk"));
+        }
+        let rest = whole.remainder();
+        if let Some(t) = tail {
+            let mut bytes = t.to_le_bytes();
+            bytes[..rest.len()].copy_from_slice(rest);
+            words[n - 1] = u64::from_le_bytes(bytes);
+        }
+        self.engine.write_range(self.rt, logs, b.word(wi).addr(), words)
     }
 
     /// GCC's in-flight switch to serial-irrevocable mode.
@@ -501,6 +541,33 @@ impl<'env> TxInner<'env> {
     }
 }
 
+/// `(first word, byte offset into it, words touched)` of a non-empty
+/// byte window.
+#[inline]
+fn word_span(offset: usize, len: usize) -> (usize, usize, usize) {
+    let (wi, sh) = TBytes::locate(offset);
+    let skip = (sh / 8) as usize;
+    (wi, skip, (skip + len).div_ceil(8))
+}
+
+fn check_bytes(b: &TBytes, offset: usize, len: usize) {
+    assert!(
+        offset.checked_add(len).is_some_and(|e| e <= b.len()),
+        "TBytes range {offset}..{} out of bounds ({})",
+        offset + len,
+        b.len()
+    );
+}
+
+fn check_words(b: &TBytes, wi: usize, n: usize) {
+    assert!(
+        wi.checked_add(n).is_some_and(|e| e <= b.word_count()),
+        "TBytes word range {wi}..{} out of bounds ({} words)",
+        wi + n,
+        b.word_count()
+    );
+}
+
 impl std::fmt::Debug for TxInner<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TxInner")
@@ -520,6 +587,38 @@ macro_rules! impl_transaction {
             #[inline]
             fn write_word(&mut self, w: &'env TWord, v: u64) -> Result<(), Abort> {
                 self.0.write_word(w, v)
+            }
+            fn read_bytes(
+                &mut self,
+                b: &'env TBytes,
+                offset: usize,
+                dst: &mut [u8],
+            ) -> Result<(), Abort> {
+                self.0.read_bytes(b, offset, dst)
+            }
+            fn write_bytes(
+                &mut self,
+                b: &'env TBytes,
+                offset: usize,
+                src: &[u8],
+            ) -> Result<(), Abort> {
+                self.0.write_bytes(b, offset, src)
+            }
+            fn read_words(
+                &mut self,
+                b: &'env TBytes,
+                wi: usize,
+                dst: &mut [u64],
+            ) -> Result<(), Abort> {
+                self.0.read_words(b, wi, dst)
+            }
+            fn write_words(
+                &mut self,
+                b: &'env TBytes,
+                wi: usize,
+                src: &[u64],
+            ) -> Result<(), Abort> {
+                self.0.write_words(b, wi, src)
             }
             fn on_commit_boxed(&mut self, f: Box<dyn FnOnce() + 'env>) {
                 self.0.commit_handlers.push(f);

@@ -2,10 +2,11 @@
 //! paper lists in §3.4: `strlen`, `strncmp`, `strncpy`, `strchr` (plus
 //! `strnlen` as the bounded form every real use in memcached wants).
 //!
-//! The scanning functions are word-granular: one transactional access per
-//! 8 bytes via [`ByteAccess::get_words`], with SWAR zero-byte detection on
-//! the loaded words and byte-granularity handling of the unaligned head
-//! and the sub-word tail. This is the half of the paper's `memcpy`-tax
+//! The scanning functions are word-granular: whole words via
+//! [`ByteAccess::get_words`] (one range read per 32 bytes in `strnlen`,
+//! per word in `strchr`), with SWAR zero-byte detection on the loaded
+//! words and byte-granularity handling of the unaligned head and the
+//! sub-word tail. This is the half of the paper's `memcpy`-tax
 //! argument that applies to *reads*: under the buffered-update algorithms
 //! every byte access used to cost a redo-map probe plus a full word log
 //! entry, eight times over per word of string.
@@ -61,14 +62,19 @@ pub fn strnlen<'e, A: ByteAccess<'e>>(
         }
         k += 1;
     }
-    // Word-granular SWAR scan over the aligned middle.
+    // Word-granular SWAR scan over the aligned middle, 32 bytes per
+    // range read (like `strncmp`'s chunks: the scan may read up to three
+    // words past the NUL).
     while limit - k >= 8 {
-        let mut w = [0u64; 1];
-        a.get_words(s, (off + k) / 8, &mut w)?;
-        if let Some(p) = zero_byte_pos(w[0]) {
-            return Ok(k + p);
+        let mut w = [0u64; 4];
+        let m = ((limit - k) / 8).min(w.len());
+        a.get_words(s, (off + k) / 8, &mut w[..m])?;
+        for (j, &word) in w[..m].iter().enumerate() {
+            if let Some(p) = zero_byte_pos(word) {
+                return Ok(k + 8 * j + p);
+            }
         }
-        k += 8;
+        k += 8 * m;
     }
     // Byte-granularity tail.
     while k < limit {
@@ -270,6 +276,24 @@ mod tests {
         assert_eq!(strchr(&mut a, &s, 4, b'=').unwrap(), None, "second '=' is past the NUL");
         assert_eq!(strchr(&mut a, &s, 0, 0).unwrap(), Some(9));
         assert_eq!(strchr(&mut a, &s, 0, b'!').unwrap(), None);
+    }
+
+    #[test]
+    fn strnlen_finds_the_nul_in_every_chunk_position() {
+        // NULs at every position of several 32-byte range reads, from
+        // every head alignment, and no NUL at all.
+        let rt = TmRuntime::default_runtime();
+        for nul in (0..80).chain([usize::MAX]) {
+            let bytes: Vec<u8> = (0..80).map(|i| if i == nul { 0 } else { b'x' }).collect();
+            let s = TBytes::from_slice(&bytes);
+            for off in 0..9 {
+                let want = bytes[off..].iter().position(|&b| b == 0).unwrap_or(80 - off);
+                let direct = strlen(&mut DirectAccess, &s, off).unwrap();
+                assert_eq!(direct, want, "nul {nul} off {off}");
+                let tx_len = rt.atomic(|tx| strlen(&mut TxAccess::new(tx), &s, off));
+                assert_eq!(tx_len, want, "transactional, nul {nul} off {off}");
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+# mcbench is its own workspace (outside the one above): its reply oracle
+# and workload-spec tests run here.
+echo "==> mcbench oracle tests"
+CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path mcbench/Cargo.toml
+
 echo "==> stress smoke (${STRESS_SECONDS}s, every algorithm/lock/CM combo; mixed, read-mostly, write-heavy and contended-commit schedules per seed)"
 cargo run --release --offline -p testkit --bin stress -- --seconds "$STRESS_SECONDS"
 

@@ -65,6 +65,22 @@ fn assert_zero_alloc_steady_state(algo: Algorithm) {
     });
     assert_eq!(bulk, 0, "{algo:?}: bulk txn allocated");
 
+    // 1 KiB ranges at an unaligned offset: one engine call per range,
+    // staged through the arena's word buffer (grown during warmup, then
+    // reused) with read-merged head and tail words.
+    let big = TBytes::zeroed(1040);
+    let mut src = [0u8; 1024];
+    let mut dst = [0u8; 1024];
+    let mut round = 0u8;
+    let ranges = allocs_per_txn(50, 200, || {
+        round = round.wrapping_add(1);
+        src.fill(round);
+        rt.atomic(|tx| tx.write_bytes(&big, 3, &src));
+        rt.atomic_ro(|tx| tx.read_bytes(&big, 3, &mut dst));
+    });
+    assert_eq!(ranges, 0, "{algo:?}: 1 KiB range txns allocated");
+    assert_eq!(dst, src);
+
     // Commit handlers: the boxed-closure backing storage is recycled, but
     // each registration necessarily boxes its closure — assert the count
     // is exactly that one box and nothing else.
