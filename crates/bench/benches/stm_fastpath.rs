@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use testkit::bench::{BenchStats, Criterion};
 use testkit::{criterion_group, criterion_main};
+use tm::layout::OwnBlock;
 use tm::{
     Algorithm, ContentionManager, SerialLockMode, TBytes, TCell, TmRuntime, Transaction,
 };
@@ -145,6 +146,8 @@ fn bench_steady_state_allocs(c: &mut Criterion) {
 /// a batch of tiny read-modify-write transactions over their **own** four
 /// cells, so write sets are disjoint and the only shared state is the
 /// commit machinery — the clock's cache line(s) and the orec stripes.
+/// Each worker's cells sit on a 64-byte block of their own: one orec
+/// covers a block, so two workers sharing one would conflict on data.
 ///
 /// The batch is floored well above `iters`: a sample must span many
 /// scheduler quanta, or on small hosts the wall time measures *which*
@@ -155,8 +158,8 @@ fn bench_steady_state_allocs(c: &mut Criterion) {
 fn contended_run(rt: &TmRuntime, workers: usize, iters: u64) -> Duration {
     const MIN_REPS: u64 = 16_000;
     let reps = iters.max(MIN_REPS);
-    let cells: Vec<[TCell<u64>; 4]> = (0..workers)
-        .map(|w| std::array::from_fn(|i| TCell::new((w * 4 + i) as u64)))
+    let cells: Vec<OwnBlock<[TCell<u64>; 4]>> = (0..workers)
+        .map(|w| OwnBlock(std::array::from_fn(|i| TCell::new((w * 4 + i) as u64))))
         .collect();
     let barrier = Barrier::new(workers + 1);
     let elapsed = std::thread::scope(|s| {
@@ -168,7 +171,7 @@ fn contended_run(rt: &TmRuntime, workers: usize, iters: u64) -> Duration {
                 barrier.wait();
                 for i in 0..reps {
                     rt.atomic(|tx| {
-                        for c in &cells[w] {
+                        for c in cells[w].iter() {
                             let v = tx.read(c)?;
                             tx.write(c, v.wrapping_add(i | 1))?;
                         }

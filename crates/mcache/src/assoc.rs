@@ -9,6 +9,7 @@
 //! generation's bucket array is preallocated at construction and the table
 //! "grows" by advancing the active generation.
 
+use tm::layout::OwnBlock;
 use tm::{Abort, TCell, Word};
 use tmstd::ByteAccess;
 
@@ -21,12 +22,15 @@ use crate::slabs::SlabArena;
 pub struct AssocTable {
     generations: Vec<Box<[TCell<u64>]>>,
     start_power: u32,
-    gen: TCell<u64>,
+    /// Active generation: every lookup reads it.
+    pub(crate) gen: TCell<u64>,
     /// The `volatile` expansion flag (serialization site pre-Max).
-    expanding: TCell<bool>,
+    pub(crate) expanding: TCell<bool>,
     /// Migration frontier: old buckets below this index have moved.
     expand_bucket: TCell<u64>,
-    hash_items: TCell<u64>,
+    /// Linked-item count: every link and unlink writes it, so it sits on
+    /// a block of its own, away from the words every lookup reads.
+    pub(crate) hash_items: OwnBlock<TCell<u64>>,
 }
 
 impl std::fmt::Debug for AssocTable {
@@ -56,7 +60,7 @@ impl AssocTable {
             gen: TCell::new(0),
             expanding: TCell::new(false),
             expand_bucket: TCell::new(0),
-            hash_items: TCell::new(0),
+            hash_items: OwnBlock(TCell::new(0)),
         }
     }
 
@@ -211,6 +215,27 @@ impl AssocTable {
         ctx.volatile_write(policy, self.expand_bucket.word(), 0)?;
         ctx.volatile_write(policy, self.expanding.word(), 1)?;
         Ok(true)
+    }
+
+    /// The old-generation buckets the next [`AssocTable::migrate_step`] of
+    /// `batch` will move, with the old generation's bucket count, or
+    /// `None` when no expansion is in progress. Once `expanding` has been
+    /// seen set, only the maintenance thread moves the frontier or clears
+    /// the flag, so the maintainer may act on this answer after the lock
+    /// that read it is dropped.
+    pub fn next_migration<'e>(
+        &'e self,
+        ctx: &mut Ctx<'_, 'e>,
+        policy: &Policy,
+        batch: usize,
+    ) -> Result<Option<(std::ops::Range<u64>, u64)>, Abort> {
+        if !self.is_expanding(ctx, policy)? {
+            return Ok(None);
+        }
+        let g = ctx.get_word(self.gen.word())? as usize;
+        let old_len = self.generations[g - 1].len() as u64;
+        let frontier = ctx.volatile_read(policy, self.expand_bucket.word())?;
+        Ok(Some((frontier..(frontier + batch as u64).min(old_len), old_len)))
     }
 
     /// Migrates up to `batch` old buckets into the new generation

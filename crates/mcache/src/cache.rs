@@ -38,6 +38,9 @@ const HOT_REFRESH_EVERY: u64 = 64;
 /// Minimum epoch sketch count for a key hash to be worth arming.
 const HOT_MIN_COUNT: u64 = 8;
 
+/// Old hash buckets the maintenance thread migrates per batch.
+const MIGRATE_BATCH: usize = 4;
+
 /// Bounds for the controller's magazine-capacity retuning.
 const MAG_MIN: usize = 2;
 const MAG_MAX: usize = 1024;
@@ -2375,17 +2378,7 @@ impl McCache {
             // this call finished a migration and the stat should bump.
             loop {
                 let (idle, completed) = if !self.policy.transactional {
-                    let _c = self.cache_lock.lock();
-                    let mut ctx = Ctx::Direct;
-                    if !core.assoc.is_expanding(&mut ctx, &policy).expect("direct") {
-                        (true, false)
-                    } else {
-                        let done = core
-                            .assoc
-                            .migrate_step(&mut ctx, &policy, &core.arena, 4)
-                            .expect("direct");
-                        (done, done)
-                    }
+                    self.locked_migrate_batch()
                 } else {
                     self.tx_section(
                         &[Category::VolatileFlag],
@@ -2394,8 +2387,9 @@ impl McCache {
                             if !core.assoc.is_expanding(ctx, &policy)? {
                                 return Ok((true, false));
                             }
-                            let done =
-                                core.assoc.migrate_step(ctx, &policy, &core.arena, 4)?;
+                            let done = core
+                                .assoc
+                                .migrate_step(ctx, &policy, &core.arena, MIGRATE_BATCH)?;
                             Ok((done, done))
                         },
                     )
@@ -2421,6 +2415,44 @@ impl McCache {
                 }
             }
         }
+    }
+
+    /// One migration batch on a lock branch, as `(idle, completed)`.
+    /// Lookups walk the hash table under one item mutex, so the maintainer
+    /// holds the item mutexes of the buckets it moves, as memcached's
+    /// maintainer holds `item_lock_global`; under `cache_lock` alone a
+    /// lookup could read a chain the migration is rewriting and miss a
+    /// linked key.
+    fn locked_migrate_batch(&self) -> (bool, bool) {
+        let core = &self.core;
+        let policy = self.policy;
+        let mut ctx = Ctx::Direct;
+        // Once `expanding` is seen set, only this thread moves the
+        // frontier, so the batch read here is the batch moved below.
+        let next = {
+            let _c = self.cache_lock.lock();
+            core.assoc.next_migration(&mut ctx, &policy, MIGRATE_BATCH)
+        };
+        let Some((buckets, old_len)) = next.expect("direct") else {
+            return (true, false);
+        };
+        let mut stripes: Vec<usize> = buckets
+            .flat_map(|b| core.item_locks.bucket_stripes(b, old_len))
+            .collect();
+        // Ascending, then cache_lock (the item -> cache order): workers
+        // hold one item mutex and only try-lock another.
+        stripes.sort_unstable();
+        stripes.dedup();
+        let _items: Vec<_> = stripes
+            .iter()
+            .map(|&s| core.item_locks.mutex(s).lock())
+            .collect();
+        let _c = self.cache_lock.lock();
+        let done = core
+            .assoc
+            .migrate_step(&mut ctx, &policy, &core.arena, MIGRATE_BATCH)
+            .expect("direct");
+        (done, done)
     }
 
     fn slab_rebalance_loop(&self) {

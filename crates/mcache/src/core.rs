@@ -3,6 +3,7 @@
 //! and generic over the execution context so every branch shares one
 //! implementation.
 
+use tm::layout::OwnBlock;
 use tm::{Abort, TCell};
 use tmstd::ByteAccess;
 
@@ -23,7 +24,9 @@ use lockprof::{ProfiledGuard, ProfiledMutex, Profiler};
 /// transactions.
 pub struct ItemLocks {
     mutexes: Vec<ProfiledMutex<()>>,
-    cells: Vec<TCell<bool>>,
+    /// One block each: IP takes and drops a stripe's boolean on every
+    /// operation, so neighbouring stripes must not share an orec.
+    cells: Vec<OwnBlock<TCell<bool>>>,
     mask: u32,
 }
 
@@ -55,7 +58,7 @@ impl ItemLocks {
             mutexes: (0..n)
                 .map(|i| ProfiledMutex::new(&format!("item_lock[{i}]"), (), profiler))
                 .collect(),
-            cells: (0..n).map(|_| TCell::new(false)).collect(),
+            cells: (0..n).map(|_| OwnBlock(TCell::new(false))).collect(),
             mask: n as u32 - 1,
         }
     }
@@ -73,6 +76,16 @@ impl ItemLocks {
     /// The IP-branch boolean for a stripe.
     pub fn cell(&self, stripe: usize) -> &TCell<bool> {
         &self.cells[stripe]
+    }
+
+    /// The stripes whose keys can hash into bucket `b` of a table of `len`
+    /// buckets (both powers of two): one stripe when the table has at
+    /// least as many buckets as there are stripes, else every stripe
+    /// congruent to `b` modulo `len`.
+    pub fn bucket_stripes(&self, b: u64, len: u64) -> impl Iterator<Item = usize> {
+        let n = self.cells.len();
+        let step = len.min(n as u64) as usize;
+        (b as usize & self.mask as usize..n).step_by(step)
     }
 
     /// Attempts to take a *victim's* stripe while other locks are held —
@@ -174,7 +187,9 @@ pub struct CacheCore {
     pub global: GlobalStats,
     cas_counter: TCell<u64>,
     /// `flush_all` watermark: items last touched at or before this die.
-    pub oldest_live: TCell<u64>,
+    /// Every GET reads it, so it sits on a block of its own, away from
+    /// `cas_counter` and the global counters that every store writes.
+    pub oldest_live: OwnBlock<TCell<u64>>,
     /// Write-nonce for the durability log: operations whose engine commit
     /// would otherwise be fully read-only (an elided silent touch) bump
     /// this so the commit mints a fresh stamp for its redo record.
@@ -211,7 +226,7 @@ impl CacheCore {
             item_locks: ItemLocks::new(item_lock_power, profiler),
             global: GlobalStats::default(),
             cas_counter: TCell::new(0),
-            oldest_live: TCell::new(0),
+            oldest_live: OwnBlock(TCell::new(0)),
             dur_nonce: TCell::new(0),
             arena,
         }
@@ -685,6 +700,31 @@ mod tests {
             4,
             &Profiler::new(),
         )
+    }
+
+    /// The words every GET reads (the hash generation, the expansion flag,
+    /// the `flush_all` watermark) share no orec block with the counters
+    /// every store writes: one orec covers 64 bytes, so a shared block
+    /// would make each store abort every concurrent GET.
+    #[test]
+    fn read_hot_words_share_no_block_with_write_hot_counters() {
+        let c = core();
+        let block = |w: &tm::TWord| w as *const tm::TWord as usize / 64;
+        let read_hot = [
+            ("gen", block(c.assoc.gen.word())),
+            ("expanding", block(c.assoc.expanding.word())),
+            ("oldest_live", block(c.oldest_live.word())),
+        ];
+        let write_hot = [
+            ("hash_items", block(c.assoc.hash_items.word())),
+            ("cas_counter", block(c.cas_counter.word())),
+            ("curr_items", block(c.global.curr_items.word())),
+        ];
+        for (r, rb) in read_hot {
+            for (w, wb) in write_hot {
+                assert_ne!(rb, wb, "{r} shares a 64-byte block with {w}");
+            }
+        }
     }
 
     fn set(

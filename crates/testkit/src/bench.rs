@@ -15,11 +15,14 @@
 //!
 //! Each group writes `BENCH_<group>.json` under
 //! `target/testkit-bench/` (override with `TESTKIT_BENCH_DIR`), one
-//! object per benchmark, so runs diff cleanly in CI:
+//! object per benchmark, so runs diff cleanly in CI. `calib_ns` is the
+//! host calibration kernel ([`calib_ns`]) timed in the same process when
+//! the group finished:
 //!
 //! ```json
 //! {
 //!   "group": "fig4",
+//!   "calib_ns": 341230.0,
 //!   "benchmarks": [
 //!     {"name": "Baseline", "samples": 10, "iters_per_sample": 3,
 //!      "median_ns": 812345.0, "p95_ns": 901234.0, "mean_ns": 823456.1,
@@ -250,17 +253,17 @@ impl BenchmarkGroup<'_> {
         self.record(id_b.to_string(), iters_b, &mut ns_b);
     }
 
-    /// Finishes the group: writes `BENCH_<group>.json` and returns the
-    /// collected stats so callers can assert intra-run invariants (e.g.
-    /// a fast-path/slow-path ratio floor) that stay meaningful even when
-    /// host noise moves every absolute number together.
+    /// Finishes the group: times the host calibration kernel, writes
+    /// `BENCH_<group>.json` and returns the collected stats so callers can
+    /// assert intra-run invariants (e.g. a fast-path/slow-path ratio
+    /// floor) that stay meaningful even when host noise moves every
+    /// absolute number together.
     pub fn finish(&mut self) -> Vec<BenchStats> {
         let dir = std::env::var("TESTKIT_BENCH_DIR")
             .unwrap_or_else(|_| "target/testkit-bench".to_owned());
         let path = std::path::Path::new(&dir).join(format!("BENCH_{}.json", self.name));
-        if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| {
-            std::fs::write(&path, self.to_json())
-        }) {
+        let json = self.to_json(calib_ns());
+        if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
             eprintln!("[testkit] could not write {}: {e}", path.display());
         } else {
             println!("[testkit] wrote {}", path.display());
@@ -268,10 +271,14 @@ impl BenchmarkGroup<'_> {
         std::mem::take(&mut self.results)
     }
 
-    /// The group's results as a JSON document.
-    pub fn to_json(&self) -> String {
+    /// The group's results as a JSON document, with the host calibration
+    /// time measured alongside them.
+    pub fn to_json(&self, calib_ns: f64) -> String {
         let mut out = String::new();
-        out.push_str(&format!("{{\n  \"group\": {},\n  \"benchmarks\": [\n", json_str(&self.name)));
+        out.push_str(&format!(
+            "{{\n  \"group\": {},\n  \"calib_ns\": {calib_ns:.1},\n  \"benchmarks\": [\n",
+            json_str(&self.name)
+        ));
         for (i, b) in self.results.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": {}, \"samples\": {}, \"iters_per_sample\": {}, \
@@ -293,9 +300,59 @@ impl BenchmarkGroup<'_> {
     }
 }
 
+/// Times a fixed in-process kernel, an integer mixing loop plus 1 KiB
+/// copies, as the median of 15 runs in nanoseconds. The kernel's cost
+/// tracks how fast this host runs today, so reports recorded on different
+/// hosts or days can be compared in host-normalized units
+/// ([`host_scale`]). It is the same kernel as `mcbench`'s `host.calib_ns`.
+pub fn calib_ns() -> f64 {
+    let src = [0x5au8; 1024];
+    let mut dst = [0u8; 1024];
+    let mut samples: Vec<f64> = (0..15)
+        .map(|_| {
+            let t = Instant::now();
+            let mut x = black_box(0x9E37_79B9_7F4A_7C15u64);
+            for i in 0..100_000u64 {
+                x = (x ^ (x >> 29))
+                    .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+                    .wrapping_add(i);
+            }
+            black_box(x);
+            for _ in 0..1_000 {
+                dst.copy_from_slice(black_box(&src));
+                black_box(&mut dst);
+            }
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    percentile(&samples, 0.5)
+}
+
 // ---------------------------------------------------------------------
 // Report comparison (the offline regression gate)
 // ---------------------------------------------------------------------
+
+/// Reads a report's `calib_ns`; `None` for reports written before the
+/// field existed.
+pub fn parse_calib(json: &str) -> Option<f64> {
+    let key = "\"calib_ns\": ";
+    let rest = &json[json.find(key)? + key.len()..];
+    let end = rest.find(|c: char| c != '.' && !c.is_ascii_digit())?;
+    rest[..end].parse().ok().filter(|v: &f64| *v > 0.0)
+}
+
+/// The factor that converts fresh nanoseconds into the baseline host's
+/// nanoseconds: baseline calibration over fresh calibration. A host
+/// running twice as slow doubles both the kernel and the benchmarks, so
+/// scaled fresh times compare with the baseline as if measured there.
+/// 1.0 when either report carries no calibration.
+pub fn host_scale(baseline_json: &str, fresh_json: &str) -> f64 {
+    match (parse_calib(baseline_json), parse_calib(fresh_json)) {
+        (Some(b), Some(f)) => b / f,
+        _ => 1.0,
+    }
+}
 
 /// One benchmark's statistics extracted from a `BENCH_<group>.json` report.
 #[derive(Clone, Debug, PartialEq)]
@@ -374,8 +431,8 @@ pub struct Regression {
     pub name: String,
     /// Baseline median (ns).
     pub base_ns: f64,
-    /// Fresh minimum (ns) — already the optimistic estimate, yet still
-    /// above the gate.
+    /// Fresh minimum (ns, host-scaled) — already the optimistic
+    /// estimate, yet still above the gate.
     pub fresh_ns: f64,
 }
 
@@ -389,35 +446,39 @@ pub struct Regression {
 /// baseline median; a noisy run does not. (Median-vs-median flapped by
 /// ±60% between consecutive runs on the reference host.)
 ///
-/// A benchmark **regresses** when `fresh.min_ns` exceeds
-/// `base.median_ns` by more than `threshold` (a fraction: 0.15 = 15%)
-/// AND by more than an absolute 5ns floor (sub-nanosecond medians — e.g.
-/// the alloc-count pseudo-benches scaled ×1000 — would otherwise flap on
-/// noise). A zero baseline is a hard promise: any nonzero fresh value
-/// fails regardless of the threshold (that is how "zero allocations per
-/// commit" stays pinned). Benchmarks missing from either side are
-/// ignored — renames are not regressions.
+/// Fresh times are first multiplied by `scale` ([`host_scale`]), so the
+/// comparison is in the baseline host's units. A benchmark **regresses**
+/// when the scaled `fresh.min_ns` exceeds `base.median_ns` by more than
+/// `threshold` (a fraction: 0.15 = 15%) AND by more than an absolute 5ns
+/// floor (sub-nanosecond medians — e.g. the alloc-count pseudo-benches
+/// scaled ×1000 — would otherwise flap on noise). A zero baseline is a
+/// hard promise: any nonzero fresh value fails regardless of the
+/// threshold and the scale (that is how "zero allocations per commit"
+/// stays pinned). Benchmarks missing from either side are ignored —
+/// renames are not regressions.
 pub fn compare_reports(
     baseline: &[ReportEntry],
     fresh: &[ReportEntry],
     threshold: f64,
+    scale: f64,
 ) -> Vec<Regression> {
     let mut bad = Vec::new();
     for b in baseline {
         let Some(f) = fresh.iter().find(|f| f.name == b.name) else {
             continue;
         };
+        let fresh_ns = f.min_ns * scale;
         let regressed = if b.median_ns == 0.0 {
             f.min_ns > 0.0
         } else {
-            let delta = f.min_ns - b.median_ns;
+            let delta = fresh_ns - b.median_ns;
             delta > b.median_ns * threshold && delta > 5.0
         };
         if regressed {
             bad.push(Regression {
                 name: b.name.clone(),
                 base_ns: b.median_ns,
-                fresh_ns: f.min_ns,
+                fresh_ns,
             });
         }
     }
@@ -572,8 +633,9 @@ mod tests {
         let mut g = c.benchmark_group("fig\"x");
         g.sample_size(2);
         g.bench_function("a/b", |b| b.iter_custom(|i| Duration::from_nanos(5) * i as u32));
-        let json = g.to_json();
+        let json = g.to_json(1234.5);
         assert!(json.contains("\"group\": \"fig\\\"x\""), "{json}");
+        assert_eq!(parse_calib(&json), Some(1234.5), "{json}");
         assert!(json.contains("\"median_ns\""), "{json}");
         assert!(json.contains("\"p95_ns\""), "{json}");
     }
@@ -600,7 +662,7 @@ mod tests {
         g.bench_function("norec/\"quoted\"", |b| {
             b.iter_custom(|i| Duration::from_nanos(200) * i as u32)
         });
-        let entries = parse_report(&g.to_json());
+        let entries = parse_report(&g.to_json(1.0));
         assert_eq!(entries.len(), 2, "{entries:?}");
         assert_eq!(entries[0].name, "eager/w4");
         assert!((entries[0].median_ns - 100.0).abs() < 1.0, "{entries:?}");
@@ -633,14 +695,14 @@ mod tests {
             e("zero", 0.0), // pinned at zero, still zero
             e("new", 9.0),  // not in baseline — ignored
         ];
-        let bad = compare_reports(&baseline, &fresh, 0.15);
+        let bad = compare_reports(&baseline, &fresh, 0.15, 1.0);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert_eq!(bad[0].name, "b");
         assert_eq!(bad[0].base_ns, 100.0);
         assert_eq!(bad[0].fresh_ns, 120.0);
 
         // A zero baseline is a hard promise: any nonzero fresh fails.
-        let bad = compare_reports(&[e("zero", 0.0)], &[e("zero", 1.0)], 0.15);
+        let bad = compare_reports(&[e("zero", 0.0)], &[e("zero", 1.0)], 0.15, 0.5);
         assert_eq!(bad.len(), 1, "{bad:?}");
 
         // A noisy-but-honest run never fails: median drifted +60% while
@@ -650,9 +712,38 @@ mod tests {
             median_ns: 160.0,
             min_ns: 98.0,
         }];
-        assert!(compare_reports(&[e("a", 100.0)], &noisy, 0.15).is_empty());
+        assert!(compare_reports(&[e("a", 100.0)], &noisy, 0.15, 1.0).is_empty());
 
         // Improvements never fail, however large.
-        assert!(compare_reports(&[e("a", 100.0)], &[e("a", 10.0)], 0.15).is_empty());
+        assert!(compare_reports(&[e("a", 100.0)], &[e("a", 10.0)], 0.15, 1.0).is_empty());
+    }
+
+    #[test]
+    fn compare_normalizes_by_host_calibration() {
+        let base = r#"{"group": "g", "calib_ns": 100.0, "benchmarks": []}"#;
+        let slow = r#"{"group": "g", "calib_ns": 200.0, "benchmarks": []}"#;
+        let legacy = r#"{"group": "g", "benchmarks": []}"#;
+        assert_eq!(host_scale(base, slow), 0.5);
+        assert_eq!(host_scale(legacy, slow), 1.0, "no baseline calibration");
+        assert_eq!(host_scale(base, legacy), 1.0, "no fresh calibration");
+        let e = |median_ns: f64, min_ns: f64| ReportEntry {
+            name: "a".into(),
+            median_ns,
+            min_ns,
+        };
+        // The same code on a host twice as slow: twice the raw time, the
+        // same host-normalized time.
+        assert!(compare_reports(&[e(100.0, 95.0)], &[e(200.0, 190.0)], 0.5, 0.5).is_empty());
+        assert_eq!(compare_reports(&[e(100.0, 95.0)], &[e(200.0, 190.0)], 0.5, 1.0).len(), 1);
+        // A real 2x regression on that slower host still fails.
+        let bad = compare_reports(&[e(100.0, 95.0)], &[e(400.0, 380.0)], 0.5, 0.5);
+        assert_eq!(bad.len(), 1);
+        assert_eq!(bad[0].fresh_ns, 190.0);
+    }
+
+    #[test]
+    fn calibration_kernel_takes_measurable_time() {
+        let t = calib_ns();
+        assert!(t > 1_000.0, "calibration kernel too fast to time: {t}ns");
     }
 }

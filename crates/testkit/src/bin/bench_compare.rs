@@ -5,9 +5,12 @@
 //! and exits nonzero if any benchmark regressed by more than the
 //! threshold (default 15%). The comparison is noise-robust: the fresh
 //! run's **minimum** must beat the baseline **median** (see
-//! `testkit::bench::compare_reports`). Zero-baseline benchmarks (the
-//! allocation counters) must stay exactly zero. Entirely offline: both
-//! sides are files on disk produced by `testkit::bench`.
+//! `testkit::bench::compare_reports`). It is host-normalized: when both
+//! reports carry the calibration kernel's time, fresh times are scaled by
+//! baseline over fresh calibration first, so a slower host does not read
+//! as a regression. Zero-baseline benchmarks (the allocation counters)
+//! must stay exactly zero. Entirely offline: both sides are files on disk
+//! produced by `testkit::bench`.
 //!
 //! ```console
 //! $ bench_compare <baseline-dir> <fresh-dir> [--threshold <percent>]
@@ -16,7 +19,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use testkit::bench::{compare_reports, parse_report};
+use testkit::bench::{compare_reports, host_scale, parse_report};
 
 fn bench_jsons(dir: &Path) -> Vec<PathBuf> {
     let mut out: Vec<PathBuf> = match std::fs::read_dir(dir) {
@@ -96,13 +99,16 @@ fn main() -> ExitCode {
             println!("  {name}: no fresh report, skipped");
             continue;
         };
-        let base = parse_report(&std::fs::read_to_string(base_path).unwrap_or_default());
+        let base_json = std::fs::read_to_string(base_path).unwrap_or_default();
+        let scale = host_scale(&base_json, &fresh_json);
+        let base = parse_report(&base_json);
         let fresh = parse_report(&fresh_json);
-        let bad = compare_reports(&base, &fresh, threshold_pct / 100.0);
+        let bad = compare_reports(&base, &fresh, threshold_pct / 100.0, scale);
         compared += base.iter().filter(|b| fresh.iter().any(|f| f.name == b.name)).count();
         for r in &bad {
             println!(
-                "  REGRESSION {name} {}: base median {:.1}ns -> fresh min {:.1}ns (+{:.0}%)",
+                "  REGRESSION {name} {}: base median {:.1}ns -> fresh min {:.1}ns \
+                 host-scaled ×{scale:.2} (+{:.0}%)",
                 r.name,
                 r.base_ns,
                 r.fresh_ns,
@@ -115,7 +121,7 @@ fn main() -> ExitCode {
         }
         regressions += bad.len();
         if bad.is_empty() {
-            println!("  {name}: ok ({} benchmarks) [{tier}]", fresh.len());
+            println!("  {name}: ok ({} benchmarks, host-scaled ×{scale:.2}) [{tier}]", fresh.len());
         }
     }
 

@@ -15,7 +15,7 @@
 //! bounded delays, and injected panics rain on all 21 combos while the
 //! ticket oracle stays on.
 //!
-//! Every combo runs **four** schedules per seed: the mixed ticket
+//! Every combo runs **five** schedules per seed: the mixed ticket
 //! schedule, the read-mostly fast-lane schedule (transactions start
 //! read-only, a quarter promote mid-flight; reader snapshots are
 //! position-checked against the ticket-ordered serial prefix), the
@@ -25,13 +25,15 @@
 //! write blocks with cross-block reads, so the threads fight over the
 //! commit machinery — clock shards, orec stripes — instead of data; the
 //! run fails if the per-shard clock stats stop attributing ticks to the
-//! shards the workers ran on).
+//! shards the workers ran on), and the packed-block schedule (threads own
+//! round-robin cells, so every 64-byte orec block holds words of several
+//! writers).
 
 use std::time::{Duration, Instant};
 
 use testkit::stress::{
-    run_schedule, run_schedule_contended, run_schedule_ro, run_schedule_sabotaged,
-    run_schedule_wh, StressConfig,
+    run_schedule, run_schedule_contended, run_schedule_packed, run_schedule_ro,
+    run_schedule_sabotaged, run_schedule_wh, StressConfig,
 };
 
 struct Args {
@@ -176,6 +178,19 @@ fn run_chaos(args: &Args, base: &StressConfig) -> ! {
                     std::process::exit(1);
                 }
             }
+            match chaos::run_schedule_packed_chaos(seed, &cfg, plan) {
+                Ok(r) => {
+                    schedules += 1;
+                    commits += r.report.commits;
+                    aborts += r.report.aborts;
+                    injected += r.injected;
+                    panic_aborts += r.panic_aborts;
+                }
+                Err(d) => {
+                    eprintln!("{d}");
+                    std::process::exit(1);
+                }
+            }
         }
         if args.seed.is_some() || start.elapsed() >= budget {
             break;
@@ -291,6 +306,17 @@ fn main() {
                     aborts += r.report.aborts;
                     shards_used = shards_used.max(r.shards_used);
                     clock_retries += r.clock_cas_retries;
+                }
+                Err(d) => {
+                    eprintln!("{d}");
+                    std::process::exit(1);
+                }
+            }
+            match run_schedule_packed(seed, &cfg) {
+                Ok(r) => {
+                    schedules += 1;
+                    commits += r.commits;
+                    aborts += r.aborts;
                 }
                 Err(d) => {
                     eprintln!("{d}");

@@ -240,6 +240,39 @@ pub fn contended_txn_program(
         .collect()
 }
 
+/// The **packed-block** program for transaction `txn` of thread `thread`:
+/// every mutation lands on one of the thread's own cells, and cells are
+/// dealt round-robin (cell `i` belongs to thread `i % threads`), so each
+/// 64-byte orec block holds the words of several threads. Write sets are
+/// disjoint by word but share blocks: on the orec engines concurrent
+/// writers conflict on every shared orec, and an undo or write-back that
+/// covered a whole block instead of the words written would clobber a
+/// neighbour's committed update. Reads still cross threads.
+///
+/// Word-disjointness needs `cfg.cells >= cfg.threads`; with fewer cells
+/// threads wrap onto shared cells (the schedule stays correct).
+pub fn packed_txn_program(seed: u64, thread: usize, txn: usize, cfg: &StressConfig) -> Vec<StressOp> {
+    let mut rng = SmallRng::seed_from_u64(mix_seed(
+        mix_seed(seed, 0xB10C + thread as u64),
+        txn as u64 + 1,
+    ));
+    let stride = cfg.threads.max(1);
+    let first = thread % cfg.cells;
+    let owned = (cfg.cells - first).div_ceil(stride);
+    let n = rng.gen_range(2..cfg.max_ops_per_txn.max(3));
+    (0..n)
+        .map(|_| {
+            let own = first + stride * rng.gen_range(0..owned);
+            match rng.gen_range(0u32..8) {
+                0 | 1 | 2 => StressOp::Write(own, rng.next_u64()),
+                3 | 4 => StressOp::Add(own, rng.gen_range(0u64..1000)),
+                5 | 6 => StressOp::Copy(rng.gen_range(0..cfg.cells), own),
+                _ => StressOp::Mix(rng.gen_range(0..cfg.cells), own),
+            }
+        })
+        .collect()
+}
+
 fn mix_values(a: u64, b: u64) -> u64 {
     (a ^ b).rotate_left(7).wrapping_add(0x9E37_79B9_7F4A_7C15)
 }
@@ -403,6 +436,17 @@ pub fn run_schedule_wh(seed: u64, cfg: &StressConfig) -> Result<StressReport, Di
     Ok(report)
 }
 
+/// Runs one **packed-block** barrier-stepped schedule
+/// ([`packed_txn_program`]) and checks it against the sequential model.
+///
+/// # Errors
+///
+/// Returns [`Divergence`] when the committed state disagrees with the
+/// model.
+pub fn run_schedule_packed(seed: u64, cfg: &StressConfig) -> Result<StressReport, Divergence> {
+    run_schedule_impl(seed, cfg, false, packed_txn_program, false).map(|(r, _, _)| r)
+}
+
 /// [`run_schedule`] with a deliberately injected bug: after the sequential
 /// replay, the model's cell 0 is bumped by one — exactly what the
 /// concurrent state would look like if the runtime lost one update to that
@@ -477,12 +521,13 @@ fn run_schedule_impl(
                     let hi = ((r + 1) * per_round).min(cfg.txns_per_thread);
                     for j in lo..hi {
                         let ops = program(seed, t, j, cfg);
+                        // Ticket last: the bodies of concurrent attempts
+                        // overlap, and only their commits serialize on it.
                         let tk = rt.atomic(|tx| {
-                            let tk = tx.fetch_add(ticket, 1)?;
                             for &op in &ops {
                                 apply_tx(tx, cells, op)?;
                             }
-                            Ok(tk)
+                            tx.fetch_add(ticket, 1)
                         });
                         mine.push((tk, t, j));
                     }
@@ -723,6 +768,22 @@ pub mod chaos {
         Ok(r)
     }
 
+    /// [`super::run_schedule_packed`] under fault injection: threads
+    /// writing distinct words of shared orec blocks, every worker armed,
+    /// the same ticket oracle. A fault between two block acquisitions of
+    /// one attempt must roll back only that attempt's words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Divergence`] on model disagreement.
+    pub fn run_schedule_packed_chaos(
+        seed: u64,
+        cfg: &StressConfig,
+        plan: FaultPlan,
+    ) -> Result<ChaosReport, Divergence> {
+        run_schedule_chaos_impl(seed, cfg, plan, packed_txn_program, false).map(|(r, _, _)| r)
+    }
+
     /// [`run_schedule_wh_chaos`] across every [`combos`] combination.
     ///
     /// # Errors
@@ -823,8 +884,6 @@ pub mod chaos {
                                 tk_cell.set(u64::MAX);
                                 let attempt = catch_unwind(AssertUnwindSafe(|| {
                                     rt.atomic(|tx| {
-                                        let tk = tx.fetch_add(ticket, 1)?;
-                                        tk_cell.set(tk);
                                         if with_handlers {
                                             tx.on_commit(|| {});
                                             tx.on_abort(|| {});
@@ -832,6 +891,8 @@ pub mod chaos {
                                         for &op in &ops {
                                             apply_tx(tx, cells, op)?;
                                         }
+                                        let tk = tx.fetch_add(ticket, 1)?;
+                                        tk_cell.set(tk);
                                         Ok(tk)
                                     })
                                 }));
@@ -1910,6 +1971,84 @@ mod tests {
             }
         }
         assert!(cross_reads > 0, "no cross-block reads drawn — validation has no edges");
+    }
+
+    /// The packed programs write only their own round-robin cells, and a
+    /// 64-byte block of cells holds words of every thread.
+    #[test]
+    fn packed_programs_write_only_their_own_words() {
+        let cfg = StressConfig {
+            threads: 4,
+            cells: 16,
+            ..StressConfig::smoke()
+        };
+        let mut writers = vec![Vec::new(); cfg.cells];
+        let mut cross_reads = 0usize;
+        for t in 0..cfg.threads {
+            for j in 0..60 {
+                for op in packed_txn_program(0xB1, t, j, &cfg) {
+                    let (src, dst) = match op {
+                        StressOp::Write(i, _) | StressOp::Add(i, _) => (None, i),
+                        StressOp::Copy(a, b) | StressOp::Mix(a, b) => (Some(a), b),
+                    };
+                    assert_eq!(dst % cfg.threads, t, "thread {t} writes cell {dst}");
+                    writers[dst].push(t);
+                    if src.is_some_and(|a| a % cfg.threads != t) {
+                        cross_reads += 1;
+                    }
+                }
+            }
+        }
+        for block in writers.chunks(8) {
+            let mut threads: Vec<usize> = block.iter().flatten().copied().collect();
+            threads.sort_unstable();
+            threads.dedup();
+            assert_eq!(threads, vec![0, 1, 2, 3], "a block of cells lacks some thread's words");
+        }
+        assert!(cross_reads > 0, "no cross-thread reads drawn — validation has no edges");
+        assert_eq!(packed_txn_program(9, 2, 17, &cfg), packed_txn_program(9, 2, 17, &cfg));
+        assert_ne!(packed_txn_program(9, 2, 17, &cfg), packed_txn_program(10, 2, 17, &cfg));
+    }
+
+    /// Threads writing distinct words of shared blocks: all 21 combos pass
+    /// the ticket oracle.
+    #[test]
+    fn packed_schedule_passes_on_every_combo() {
+        for (algorithm, serial_lock, contention) in combos() {
+            let cfg = StressConfig {
+                algorithm,
+                serial_lock,
+                contention,
+                threads: 4,
+                cells: 16,
+                txns_per_thread: 40,
+                ..StressConfig::smoke()
+            };
+            let r = run_schedule_packed(0xB10C, &cfg).unwrap_or_else(|d| panic!("{d}"));
+            assert_eq!(r.commits, 4 * 40, "{}", r.combo);
+        }
+    }
+
+    /// The packed-block schedule under fire on all 21 combos.
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn chaos_packed_schedule_passes_ticket_oracle() {
+        let mut injected = 0;
+        for (algorithm, serial_lock, contention) in combos() {
+            let cfg = StressConfig {
+                algorithm,
+                serial_lock,
+                contention,
+                threads: 4,
+                cells: 16,
+                txns_per_thread: 30,
+                ..StressConfig::smoke()
+            };
+            let r = chaos::run_schedule_packed_chaos(0xB1C4, &cfg, chaos::default_plan())
+                .unwrap_or_else(|d| panic!("{d}"));
+            injected += r.injected;
+        }
+        assert!(injected > 0, "chaos packed schedule injected no faults");
     }
 
     /// The contended matrix: all 21 combos pass the ticket oracle with

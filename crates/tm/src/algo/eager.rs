@@ -12,7 +12,7 @@
 //! `(orec index, observed unlocked value)` pairs and `undo` holds
 //! `(word address, previous value)`.
 
-use super::tword_at;
+use super::{for_each_block, load_block, tword_at};
 use crate::arena::{LogBufs, SMALL_WRITES};
 use crate::error::Abort;
 use crate::fault::{self, FaultSite};
@@ -40,6 +40,27 @@ fn lock_prev(locks: &[(usize, OrecValue)], idx: usize) -> Option<OrecValue> {
 #[inline]
 fn undo_recently_logged(undo: &[(usize, u64)], addr: usize) -> bool {
     undo.iter().rev().take(SMALL_WRITES).any(|&(a, _)| a == addr)
+}
+
+/// Stores a block chunk whose orec this attempt holds, undo-logging each
+/// word it changes; words that already hold their value are silent stores.
+/// `HELD_BEFORE` says the orec was ours before this write: only then can a
+/// word of the block already have an undo entry.
+#[inline(always)]
+fn store_block<const HELD_BEFORE: bool>(bufs: &mut LogBufs, addr: usize, src: &[u64]) {
+    for (k, &v) in src.iter().enumerate() {
+        let a = addr + 8 * k;
+        let w = tword_at(a);
+        let cur = w.load_direct();
+        if cur == v {
+            bufs.silent_elisions += 1;
+            continue;
+        }
+        if !HELD_BEFORE || !undo_recently_logged(&bufs.undo, a) {
+            bufs.undo.push((a, cur));
+        }
+        w.store_direct(v);
+    }
 }
 
 impl EagerTx {
@@ -95,32 +116,37 @@ impl EagerTx {
         Ok(())
     }
 
-    /// The orec read protocol for one word, shared by [`EagerTx::read_word`]
-    /// and [`EagerTx::read_range`]. `DEDUP` picks how the observation is
-    /// logged: single-word reads probe the read set and refresh an existing
-    /// entry, range reads append unconditionally. Both are sound: a second
-    /// entry for an orec always holds the value the first one holds, since
-    /// an orec that moved past the snapshot forces an extension, whose
-    /// validation of the first entry fails (DESIGN.md §17).
+    /// The orec read protocol for one block chunk (`dst.len()` words at
+    /// `addr`, all in one 64-byte block), shared by [`EagerTx::read_word`]
+    /// and [`EagerTx::read_range`]: sample the block's orec, load the
+    /// words, re-sample, and log one `(orec, observed)` entry. `DEDUP`
+    /// picks how the observation is logged: single-word reads probe the
+    /// read set and refresh an existing entry, range reads append
+    /// unconditionally. Both are sound: a second entry for an orec always
+    /// holds the value the first one holds, since an orec that moved past
+    /// the snapshot forces an extension, whose validation of the first
+    /// entry fails (DESIGN.md §17.2).
     #[inline(always)]
-    fn read_step<const DEDUP: bool>(
+    fn read_block<const DEDUP: bool>(
         &mut self,
         rt: &RtInner,
         bufs: &mut LogBufs,
         addr: usize,
-    ) -> Result<u64, Abort> {
+        dst: &mut [u64],
+    ) -> Result<(), Abort> {
         let idx = rt.orecs.index_of(addr);
         loop {
             let o1 = rt.orecs.load(idx);
             if orec::is_locked(o1) {
                 if orec::owner_of(o1) == self.tx_id {
                     // Write-through: our own writes are already in place.
-                    return Ok(tword_at(addr).load_direct());
+                    load_block(addr, dst, 0);
+                    return Ok(());
                 }
                 rt.orecs.note_conflict(idx);
                 return Err(Abort::Conflict);
             }
-            let v = tword_at(addr).load_direct();
+            load_block(addr, dst, 0);
             let o2 = rt.orecs.load(idx);
             if o1 != o2 {
                 continue; // changed under us; re-sample
@@ -134,7 +160,7 @@ impl EagerTx {
                     bufs.reads[slot].1 = o1;
                     bufs.dedup_hits += 1;
                 }
-                return Ok(v);
+                return Ok(());
             }
             self.extend(rt, bufs)?;
         }
@@ -146,7 +172,9 @@ impl EagerTx {
         bufs: &mut LogBufs,
         addr: usize,
     ) -> Result<u64, Abort> {
-        self.read_step::<true>(rt, bufs, addr)
+        let mut v = [0];
+        self.read_block::<true>(rt, bufs, addr, &mut v)?;
+        Ok(v[0])
     }
 
     /// Reads `dst.len()` consecutive words starting at `base`.
@@ -157,10 +185,67 @@ impl EagerTx {
         base: usize,
         dst: &mut [u64],
     ) -> Result<(), Abort> {
-        for (k, d) in dst.iter_mut().enumerate() {
-            *d = self.read_step::<false>(rt, bufs, base + 8 * k)?;
+        for_each_block(base, dst.len(), |a, r| {
+            self.read_block::<false>(rt, bufs, a, &mut dst[r])
+        })
+    }
+
+    /// The orec write protocol for one block chunk: lock the block's orec
+    /// once, then undo-log and store each word in place. A chunk whose
+    /// every word already holds its new value is elided instead.
+    #[inline(always)]
+    fn write_block(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        addr: usize,
+        src: &[u64],
+    ) -> Result<(), Abort> {
+        // Fault site: before any state for this block is touched, so an
+        // injected abort/panic leaves the undo log consistent.
+        fault::inject(FaultSite::OrecAcquire)?;
+        let idx = rt.orecs.index_of(addr);
+        loop {
+            let o = rt.orecs.load(idx);
+            if orec::is_locked(o) {
+                if orec::owner_of(o) == self.tx_id {
+                    store_block::<true>(bufs, addr, src);
+                    return Ok(());
+                }
+                rt.orecs.note_conflict(idx);
+                return Err(Abort::Conflict);
+            }
+            if orec::version_of(o) > self.start_time {
+                self.extend(rt, bufs)?;
+                continue;
+            }
+            let silent = src
+                .iter()
+                .enumerate()
+                .all(|(k, &v)| tword_at(addr + 8 * k).load_direct() == v);
+            if silent {
+                // Silent-store elision: the committed words already hold
+                // `src` (consistent iff the orec has not moved under the
+                // values read). Log the orec as a READ instead of locking —
+                // commit-time validation still covers the block, so a
+                // concurrent writer changing it aborts us exactly as a real
+                // write-write conflict would.
+                if rt.orecs.load(idx) != o {
+                    continue; // changed under the values read; re-sample
+                }
+                if let Some(slot) = bufs.read_slot_or_append(idx, o) {
+                    bufs.reads[slot].1 = o;
+                }
+                bufs.silent_elisions += src.len() as u64;
+                return Ok(());
+            }
+            if rt.orecs.try_update(idx, o, orec::locked_by(self.tx_id)) {
+                bufs.locks.push((idx, o));
+                store_block::<false>(bufs, addr, src);
+                return Ok(());
+            }
+            // CAS raced; re-sample.
         }
-        Ok(())
     }
 
     #[inline(always)]
@@ -171,60 +256,20 @@ impl EagerTx {
         addr: usize,
         v: u64,
     ) -> Result<(), Abort> {
-        // Fault site: before any state for this word is touched, so an
-        // injected abort/panic leaves the undo log consistent.
-        fault::inject(FaultSite::OrecAcquire)?;
-        let idx = rt.orecs.index_of(addr);
-        loop {
-            let o = rt.orecs.load(idx);
-            if orec::is_locked(o) {
-                if orec::owner_of(o) == self.tx_id {
-                    let w = tword_at(addr);
-                    let cur = w.load_direct();
-                    if cur == v {
-                        // Silent store under our own lock: the word (ours
-                        // since we hold the orec) already reads `v`.
-                        bufs.silent_elisions += 1;
-                        return Ok(());
-                    }
-                    if !undo_recently_logged(&bufs.undo, addr) {
-                        bufs.undo.push((addr, cur));
-                    }
-                    w.store_direct(v);
-                    return Ok(());
-                }
-                rt.orecs.note_conflict(idx);
-                return Err(Abort::Conflict);
-            }
-            if orec::version_of(o) > self.start_time {
-                self.extend(rt, bufs)?;
-                continue;
-            }
-            if tword_at(addr).load_direct() == v {
-                // Silent-store elision: the committed word already holds
-                // `v` (consistent iff the orec has not moved under the
-                // value read). Log the orec as a READ instead of locking —
-                // commit-time validation still covers the location, so a
-                // concurrent writer changing it aborts us exactly as a real
-                // write-write conflict would.
-                if rt.orecs.load(idx) != o {
-                    continue; // changed under the value read; re-sample
-                }
-                if let Some(slot) = bufs.read_slot_or_append(idx, o) {
-                    bufs.reads[slot].1 = o;
-                }
-                bufs.silent_elisions += 1;
-                return Ok(());
-            }
-            if rt.orecs.try_update(idx, o, orec::locked_by(self.tx_id)) {
-                bufs.locks.push((idx, o));
-                let w = tword_at(addr);
-                bufs.undo.push((addr, w.load_direct()));
-                w.store_direct(v);
-                return Ok(());
-            }
-            // CAS raced; re-sample.
-        }
+        self.write_block(rt, bufs, addr, &[v])
+    }
+
+    /// Writes `src` to consecutive words starting at `base`.
+    pub(crate) fn write_range(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        base: usize,
+        src: &[u64],
+    ) -> Result<(), Abort> {
+        for_each_block(base, src.len(), |a, r| {
+            self.write_block(rt, bufs, a, &src[r])
+        })
     }
 
     pub(crate) fn commit(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<u64, Abort> {

@@ -16,7 +16,7 @@
 //! address), `wmap` the redo index past the inline window, and `locks` the
 //! commit-time held-lock scratch list.
 
-use super::tword_at;
+use super::{for_each_block, load_block, tword_at};
 use crate::arena::LogBufs;
 use crate::error::Abort;
 use crate::fault::{self, FaultSite};
@@ -85,21 +85,33 @@ impl LazyTx {
         Ok(())
     }
 
-    /// The orec read protocol for one word, shared by [`LazyTx::read_word`]
+    /// The orec read protocol for one block chunk (`dst.len()` words at
+    /// `addr`, all in one 64-byte block), shared by [`LazyTx::read_word`]
     /// and [`LazyTx::read_range`]. `redo` says whether the write set may
-    /// hold the word (it is empty on every read-only attempt, which then
-    /// skips the lookup); `DEDUP` is as in the eager twin.
+    /// hold some of the words (it is empty on every read-only attempt,
+    /// which then skips the lookups); words it holds come from the redo
+    /// log, the rest from memory under one orec sample, and a chunk the
+    /// redo log answers whole logs no read. `DEDUP` is as in the eager
+    /// twin.
     #[inline(always)]
-    fn read_step<const DEDUP: bool>(
+    fn read_block<const DEDUP: bool>(
         &mut self,
         rt: &RtInner,
         bufs: &mut LogBufs,
         addr: usize,
+        dst: &mut [u64],
         redo: bool,
-    ) -> Result<u64, Abort> {
+    ) -> Result<(), Abort> {
+        let mut buffered = 0u8;
         if redo {
-            if let Some(v) = bufs.redo_lookup(addr) {
-                return Ok(v);
+            for (k, d) in dst.iter_mut().enumerate() {
+                if let Some(v) = bufs.redo_lookup(addr + 8 * k) {
+                    *d = v;
+                    buffered |= 1 << k;
+                }
+            }
+            if buffered.count_ones() as usize == dst.len() {
+                return Ok(());
             }
         }
         let idx = rt.orecs.index_of(addr);
@@ -111,7 +123,7 @@ impl LazyTx {
                 rt.orecs.note_conflict(idx);
                 return Err(Abort::Conflict);
             }
-            let v = tword_at(addr).load_direct();
+            load_block(addr, dst, buffered);
             let o2 = rt.orecs.load(idx);
             if o1 != o2 {
                 continue;
@@ -125,7 +137,7 @@ impl LazyTx {
                     bufs.reads[slot].1 = o1;
                     bufs.dedup_hits += 1;
                 }
-                return Ok(v);
+                return Ok(());
             }
             self.extend(rt, bufs)?;
         }
@@ -138,7 +150,9 @@ impl LazyTx {
         addr: usize,
     ) -> Result<u64, Abort> {
         let redo = !bufs.writes.is_empty();
-        self.read_step::<true>(rt, bufs, addr, redo)
+        let mut v = [0];
+        self.read_block::<true>(rt, bufs, addr, &mut v, redo)?;
+        Ok(v[0])
     }
 
     /// Reads `dst.len()` consecutive words starting at `base`.
@@ -150,10 +164,46 @@ impl LazyTx {
         dst: &mut [u64],
     ) -> Result<(), Abort> {
         let redo = !bufs.writes.is_empty();
-        for (k, d) in dst.iter_mut().enumerate() {
-            *d = self.read_step::<false>(rt, bufs, base + 8 * k, redo)?;
+        for_each_block(base, dst.len(), |a, r| {
+            self.read_block::<false>(rt, bufs, a, &mut dst[r], redo)
+        })
+    }
+
+    /// Buffers one block chunk in the redo log. Silent-store elision: a
+    /// word whose value equals the committed contents (read consistently
+    /// at our snapshot under one orec sample) is logged as a READ of the
+    /// block instead of buffered — validation still covers the location,
+    /// so a concurrent change aborts us like any read-write conflict, but
+    /// the commit never locks the orec for it or writes the word back.
+    /// Addresses already buffered must stay buffered (the redo value, not
+    /// memory, is what later reads and the write-back observe).
+    #[inline(always)]
+    fn write_block(&mut self, rt: &RtInner, bufs: &mut LogBufs, addr: usize, src: &[u64]) {
+        let idx = rt.orecs.index_of(addr);
+        let o1 = rt.orecs.load(idx);
+        let mut silent = 0u8;
+        if !orec::is_locked(o1) && orec::version_of(o1) <= self.start_time {
+            for (k, &v) in src.iter().enumerate() {
+                let a = addr + 8 * k;
+                if tword_at(a).load_direct() == v && bufs.redo_lookup(a).is_none() {
+                    silent |= 1 << k;
+                }
+            }
+            if silent != 0 && rt.orecs.load(idx) != o1 {
+                silent = 0; // changed under the values read
+            }
         }
-        Ok(())
+        if silent != 0 {
+            if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
+                bufs.reads[slot].1 = o1;
+            }
+            bufs.silent_elisions += u64::from(silent.count_ones());
+        }
+        for (k, &v) in src.iter().enumerate() {
+            if silent & (1 << k) == 0 {
+                bufs.redo_record(addr + 8 * k, v);
+            }
+        }
     }
 
     #[inline(always)]
@@ -164,29 +214,22 @@ impl LazyTx {
         addr: usize,
         v: u64,
     ) -> Result<(), Abort> {
-        // Silent-store elision: a write whose value equals the committed
-        // contents (read consistently at our snapshot) is logged as a READ
-        // instead of buffered — validation still covers the location, so a
-        // concurrent change aborts us like any read-write conflict, but the
-        // commit never locks the orec or writes the word back. Addresses
-        // already buffered must stay buffered (the redo value, not memory,
-        // is what later reads and the write-back observe).
-        if bufs.redo_lookup(addr).is_none() {
-            let idx = rt.orecs.index_of(addr);
-            let o1 = rt.orecs.load(idx);
-            if !orec::is_locked(o1) && orec::version_of(o1) <= self.start_time {
-                let cur = tword_at(addr).load_direct();
-                if rt.orecs.load(idx) == o1 && cur == v {
-                    if let Some(slot) = bufs.read_slot_or_append(idx, o1) {
-                        bufs.reads[slot].1 = o1;
-                    }
-                    bufs.silent_elisions += 1;
-                    return Ok(());
-                }
-            }
-        }
-        bufs.redo_record(addr, v);
+        self.write_block(rt, bufs, addr, &[v]);
         Ok(())
+    }
+
+    /// Writes `src` to consecutive words starting at `base`.
+    pub(crate) fn write_range(
+        &mut self,
+        rt: &RtInner,
+        bufs: &mut LogBufs,
+        base: usize,
+        src: &[u64],
+    ) -> Result<(), Abort> {
+        for_each_block(base, src.len(), |a, r| {
+            self.write_block(rt, bufs, a, &src[r]);
+            Ok(())
+        })
     }
 
     pub(crate) fn commit(&mut self, rt: &RtInner, bufs: &mut LogBufs) -> Result<u64, Abort> {
@@ -214,6 +257,13 @@ impl LazyTx {
         debug_assert!(held.is_empty());
         held.reserve(writes.len());
         for &(addr, _) in writes.iter() {
+            let idx = rt.orecs.index_of(addr);
+            // Redo entries of one block are mostly adjacent, so the last
+            // held orec answers most lookups before the scan. A hit is a
+            // block we already hold, or a hash collision onto one.
+            if held.last().is_some_and(|&(i, _)| i == idx) || held.iter().any(|&(i, _)| i == idx) {
+                continue;
+            }
             // Fault site: commit-time orec acquisition. Held orecs so far
             // are in `held` (== bufs.locks), so the Err path below and a
             // panic (recovered by rollback) both release them to their
@@ -222,10 +272,6 @@ impl LazyTx {
                 release_held(rt, held, None);
                 bufs.clear();
                 return Err(e);
-            }
-            let idx = rt.orecs.index_of(addr);
-            if held.iter().any(|&(i, _)| i == idx) {
-                continue; // hash collision onto an orec we already hold
             }
             loop {
                 let o = rt.orecs.load(idx);

@@ -19,6 +19,7 @@ pub mod norec;
 use crate::arena::LogBufs;
 use crate::cell::TWord;
 use crate::error::Abort;
+use crate::orec;
 use crate::runtime::RtInner;
 
 /// Which algorithm a runtime uses for instrumented transactions.
@@ -70,6 +71,36 @@ impl Algorithm {
 #[inline]
 pub(crate) fn tword_at<'a>(addr: usize) -> &'a TWord {
     unsafe { &*(addr as *const TWord) }
+}
+
+/// Calls `f(addr, words)` for each orec block the `n`-word range starting
+/// at `base` touches, in address order: `addr` is the chunk's first word
+/// and `words` its index range in the caller's slice. Every chunk lies in
+/// one 64-byte block, so it is covered by exactly one orec.
+#[inline(always)]
+pub(crate) fn for_each_block<F>(base: usize, n: usize, mut f: F) -> Result<(), Abort>
+where
+    F: FnMut(usize, std::ops::Range<usize>) -> Result<(), Abort>,
+{
+    let mut k = 0;
+    while k < n {
+        let addr = base + 8 * k;
+        let end = (k + (orec::BLOCK_BYTES - addr % orec::BLOCK_BYTES) / 8).min(n);
+        f(addr, k..end)?;
+        k = end;
+    }
+    Ok(())
+}
+
+/// Loads the words of one block chunk straight from memory, skipping the
+/// words whose bit is set in `skip` (lazy fills those from its redo log).
+#[inline(always)]
+pub(crate) fn load_block(addr: usize, dst: &mut [u64], skip: u8) {
+    for (k, d) in dst.iter_mut().enumerate() {
+        if skip & (1 << k) == 0 {
+            *d = tword_at(addr + 8 * k).load_direct();
+        }
+    }
 }
 
 /// Per-attempt algorithm state.
@@ -148,8 +179,8 @@ impl Engine {
     }
 
     /// Writes `src` to consecutive words starting at address `base`: one
-    /// dispatch for the whole range, then the engine's own per-word
-    /// write step (which keeps every lock, log and fault site).
+    /// dispatch for the whole range. Eager and lazy take one orec step per
+    /// block; NOrec loops its per-word write step.
     pub(crate) fn write_range(
         &mut self,
         rt: &RtInner,
@@ -157,13 +188,17 @@ impl Engine {
         base: usize,
         src: &[u64],
     ) -> Result<(), Abort> {
-        let mut words = src.iter().enumerate().map(|(k, &v)| (base + 8 * k, v));
         match self {
-            Engine::Eager(e) => words.try_for_each(|(a, v)| e.write_word(rt, bufs, a, v)),
-            Engine::Lazy(e) => words.try_for_each(|(a, v)| e.write_word(rt, bufs, a, v)),
-            Engine::Norec(e) => words.try_for_each(|(a, v)| e.write_word(rt, bufs, a, v)),
+            Engine::Eager(e) => e.write_range(rt, bufs, base, src),
+            Engine::Lazy(e) => e.write_range(rt, bufs, base, src),
+            Engine::Norec(e) => src
+                .iter()
+                .enumerate()
+                .try_for_each(|(k, &v)| e.write_word(rt, bufs, base + 8 * k, v)),
             Engine::Serial => {
-                words.for_each(|(a, v)| tword_at(a).store_direct(v));
+                for (k, &v) in src.iter().enumerate() {
+                    tword_at(base + 8 * k).store_direct(v);
+                }
                 Ok(())
             }
         }

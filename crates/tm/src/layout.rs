@@ -10,10 +10,29 @@
 //! outside without access to the private types.
 
 use crate::clock::{ClockShard, SeqLock};
-use crate::orec::OrecStripe;
+use crate::orec::{OrecStripe, BLOCK_BYTES};
 
 /// The cache-line size every padded structure in this crate targets.
 pub const CACHE_LINE: usize = 64;
+
+/// Holds a value on 64-byte blocks of its own. One orec covers one block
+/// (`tm::orec`), so a transactional word that every read touches must not
+/// share a block with a word that every write updates: each commit of the
+/// writer would abort the readers. Wrapping either side in `OwnBlock`
+/// keeps them apart, and off each other's cache line too.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub struct OwnBlock<T>(pub T);
+
+const _: () = assert!(std::mem::align_of::<OwnBlock<u8>>() == BLOCK_BYTES, "OwnBlock must start an orec block");
+
+impl<T> std::ops::Deref for OwnBlock<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// Size in bytes of one commit-clock shard (timestamp + telemetry).
 pub const CLOCK_SHARD_SIZE: usize = std::mem::size_of::<ClockShard>();

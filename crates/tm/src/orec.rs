@@ -12,24 +12,29 @@
 //! * `version << 1` (even) — unlocked, last committed at `version`;
 //! * `(owner_tx_id << 1) | 1` (odd) — locked by the transaction with that id.
 //!
-//! # Striping
+//! # Granularity and striping
+//!
+//! One orec covers one 64-byte *data block* (`addr >> 6`), as libitm's
+//! `ml_wt` maps each 32-byte granule to one orec. A range access then
+//! samples, logs and locks one orec per block instead of one per word.
 //!
 //! The table is organized as cache-line *stripes* of [`ORECS_PER_STRIPE`]
-//! orecs each. The hash is stripe-aware: the 64-byte *data block* an
-//! address belongs to (`addr >> 6`) picks the stripe, and the word's
-//! position inside its block (`(addr >> 3) & 7`) picks the slot within the
-//! stripe. Two consequences:
+//! orecs each. The hash is stripe-aware: the 512-byte *region* an address
+//! belongs to (`addr >> 9`) picks the stripe, and the block's position
+//! inside its region (`(addr >> 6) & 7`) picks the slot within the stripe.
+//! Two consequences:
 //!
-//! * Words of **unrelated** data blocks land on unrelated stripes, so a
+//! * Blocks of **unrelated** regions land on unrelated stripes, so a
 //!   committer's lock CAS never invalidates the orec line under readers of
-//!   a different block — no cross-block false sharing. (The previous
-//!   design padded every orec to its own line to get this, at 64 bytes per
-//!   orec; striping gets the same isolation at 8 bytes per orec, an 8×
-//!   footprint cut that keeps the default 2^16-entry table inside L2.)
-//! * Words of the **same** data block share one orec line. They were
-//!   already sharing a data cache line, so a writer was invalidating the
-//!   reader's data line regardless — co-locating their orecs adds no new
-//!   coherence traffic, and gives commit-time lock runs spatial locality.
+//!   a different region.
+//! * The 8 blocks of **one** region sit on consecutive slots of one orec
+//!   line, so a range read or write of up to 512 bytes touches a single
+//!   orec line, and commit-time lock runs have spatial locality.
+//!
+//! The price is false conflicts between unrelated words that share a
+//! block: a reader of one word aborts when a writer commits a neighbour.
+//! Data that every read touches is therefore kept off the blocks that
+//! every write touches (see `mcache`'s padded globals).
 //!
 //! Per-stripe conflict counters live in a separate allocation (off the
 //! orec lines, so bumping one is not itself false sharing) and feed the
@@ -40,6 +45,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Raw orec value.
 pub type OrecValue = u64;
+
+/// Bytes of data covered by one orec: a 64-byte block.
+pub const BLOCK_BYTES: usize = 64;
 
 /// Orecs per stripe: one 64-byte cache line of 8-byte orecs.
 pub const ORECS_PER_STRIPE: usize = 8;
@@ -145,16 +153,16 @@ impl OrecTable {
         self.stripes.len()
     }
 
-    /// Maps a word address to its orec index. Stripe-aware: the 64-byte
-    /// data block picks the stripe (Fibonacci-hashed so unrelated blocks
-    /// spread across the table), the word's offset inside its block picks
-    /// the slot — same-block words co-locate on one orec line, unrelated
-    /// blocks never share one.
+    /// Maps a word address to its orec index: one orec per 64-byte data
+    /// block. The 512-byte region picks the stripe (Fibonacci-hashed so
+    /// unrelated regions spread across the table) and the block's offset
+    /// inside its region picks the slot — same-block words share one orec,
+    /// and a region's 8 blocks fill one orec line.
     #[inline]
     pub fn index_of(&self, addr: usize) -> usize {
-        let h = (addr >> 6).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = (addr >> 9).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let stripe = (h >> 24) & self.stripe_mask;
-        let slot = (addr >> 3) & (ORECS_PER_STRIPE - 1);
+        let slot = (addr >> 6) & (ORECS_PER_STRIPE - 1);
         stripe * ORECS_PER_STRIPE + slot
     }
 
@@ -247,41 +255,45 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_words_usually_map_to_distinct_orecs() {
+    fn same_block_words_share_one_orec() {
         let t = OrecTable::new(10);
-        let base = 0x1000usize;
-        let a = t.index_of(base);
-        let b = t.index_of(base + 8);
-        let c = t.index_of(base + 16);
-        // Same 64-byte block → same stripe, distinct slots.
-        assert!(a != b || b != c);
-    }
-
-    #[test]
-    fn same_block_words_share_a_stripe_distinct_slots() {
-        let t = OrecTable::new(10);
-        let base = 0x4_0000usize; // block-aligned
-        let idxs: Vec<usize> = (0..8).map(|w| t.index_of(base + w * 8)).collect();
-        let stripe = idxs[0] / ORECS_PER_STRIPE;
-        for (w, &i) in idxs.iter().enumerate() {
-            assert_eq!(i / ORECS_PER_STRIPE, stripe, "word {w} left the stripe");
+        let base = 0x4_0040usize; // block-aligned
+        for w in 0..8 {
+            assert_eq!(
+                t.index_of(base + w * 8),
+                t.index_of(base),
+                "word {w} left the block's orec"
+            );
         }
-        let mut sorted = idxs.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 8, "slots within a stripe must not collide");
+        assert_ne!(
+            t.index_of(base + 64),
+            t.index_of(base),
+            "the next block must get its own orec"
+        );
     }
 
     #[test]
-    fn different_blocks_usually_hit_different_stripes() {
+    fn region_blocks_share_a_stripe_on_distinct_slots() {
+        let t = OrecTable::new(10);
+        let base = 0x4_0000usize; // region-aligned
+        let idxs: Vec<usize> = (0..8).map(|b| t.index_of(base + b * 64)).collect();
+        let stripe = idxs[0] / ORECS_PER_STRIPE;
+        for (b, &i) in idxs.iter().enumerate() {
+            assert_eq!(i / ORECS_PER_STRIPE, stripe, "block {b} left the stripe");
+            assert_eq!(i % ORECS_PER_STRIPE, b, "block {b} is not on its own slot");
+        }
+    }
+
+    #[test]
+    fn unrelated_regions_scatter_across_stripes() {
         let t = OrecTable::new(10);
         let stripes: Vec<usize> = (0..16)
-            .map(|b| t.index_of(0x1000 + b * 64) / ORECS_PER_STRIPE)
+            .map(|r| t.index_of(0x1000 + r * 512) / ORECS_PER_STRIPE)
             .collect();
         let mut sorted = stripes.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert!(sorted.len() > 8, "block hash must scatter stripes, got {sorted:?}");
+        assert!(sorted.len() > 8, "region hash must scatter stripes, got {sorted:?}");
     }
 
     #[test]

@@ -253,10 +253,12 @@ pub trait Transaction<'env>: sealed::Sealed {
     where
         Self: Sized;
 
-    /// Transactionally reads whole backing words of a [`TBytes`] —
-    /// one orec/log entry per 8 bytes. This is the bulk primitive
-    /// `tmstd`'s word-granular `memcpy`/`strlen`/`memcmp` rewrites sit on;
-    /// padding bytes of the final word (past `len()`) read as zero.
+    /// Transactionally reads whole backing words of a [`TBytes`] — one
+    /// orec sample and read-log entry per 64-byte block on the orec
+    /// engines, one value-log entry per word on NOrec. This is the bulk
+    /// primitive `tmstd`'s word-granular `memcpy`/`strlen`/`memcmp`
+    /// rewrites sit on; padding bytes of the final word (past `len()`)
+    /// read as zero.
     ///
     /// # Errors
     ///
@@ -270,7 +272,8 @@ pub trait Transaction<'env>: sealed::Sealed {
         Self: Sized;
 
     /// Transactionally writes whole backing words of a [`TBytes`] — one
-    /// orec/log entry per 8 bytes, no read-merge. The caller owns every
+    /// orec per 64-byte block and one undo/redo entry per word, no
+    /// read-merge. The caller owns every
     /// byte of the covered words, including any padding past `len()`
     /// (which must be written as zero to preserve the invariant that
     /// padding reads as zero).

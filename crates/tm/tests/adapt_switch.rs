@@ -4,8 +4,8 @@
 //! refusing to run at all when the serial lock (its quiesce mechanism)
 //! is compiled out.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 
 use tm::{
     last_commit_stamp, Algorithm, ContentionManager, SerialLockMode, SwitchError, TCell, TmRuntime,
@@ -124,20 +124,24 @@ fn observation_stamp_below_later_writers_across_switch() {
 
 /// Hammer switches from a dedicated thread while workers run mixed
 /// read/write transactions: nothing deadlocks, reads are consistent,
-/// and the final tally is exact.
+/// and the final tally is exact. The workers start only once the first
+/// switch has landed, so the storm cannot miss them.
 #[test]
 fn switch_storm_under_mixed_load() {
     let rt = TmRuntime::builder().algorithm(Algorithm::Eager).build();
     let cells: Vec<TCell<u64>> = (0..8).map(|_| TCell::new(0)).collect();
-    let done = AtomicBool::new(false);
+    let first_switch = Barrier::new(4);
+    let running = AtomicUsize::new(3);
     let switches = AtomicU64::new(0);
     std::thread::scope(|s| {
         let rt = &rt;
         let cells = &cells[..];
-        let done = &done;
+        let first_switch = &first_switch;
+        let running = &running;
         let switches = &switches;
         for w in 0..3usize {
             s.spawn(move || {
+                first_switch.wait();
                 for i in 0..400u64 {
                     if (i + w as u64) % 4 == 0 {
                         // Read-only sweep: all cells move together below.
@@ -151,9 +155,12 @@ fn switch_storm_under_mixed_load() {
                         });
                     }
                 }
+                running.fetch_sub(1, Ordering::Release);
             });
         }
         s.spawn(move || {
+            // The first plan differs from the built configuration, so the
+            // first call switches and releases the workers.
             let plans = [
                 (Algorithm::Lazy, ContentionManager::None),
                 (Algorithm::Norec, ContentionManager::Backoff { max_shift: 3 }),
@@ -161,37 +168,12 @@ fn switch_storm_under_mixed_load() {
                 (Algorithm::Eager, ContentionManager::GCC_DEFAULT),
             ];
             let mut k = 0usize;
-            while !done.load(Ordering::Acquire) {
+            while k == 0 || running.load(Ordering::Acquire) > 0 {
                 let (a, cm) = plans[k % plans.len()];
-                if rt.switch_config(a, cm).unwrap() {
-                    switches.fetch_add(1, Ordering::Relaxed);
+                if rt.switch_config(a, cm).unwrap() && switches.fetch_add(1, Ordering::Relaxed) == 0 {
+                    first_switch.wait();
                 }
                 k += 1;
-                std::thread::yield_now();
-            }
-        });
-        for w in 0..3usize {
-            // Each worker writes 400 - its read-only share.
-            let _ = w;
-        }
-        // Workers joined when the non-switcher spawns finish; signal the
-        // switcher via `done` after they do by joining through the scope:
-        // the scope joins all threads, so flip `done` from a watcher.
-        s.spawn(move || {
-            // Crude but deterministic-enough: wait until the expected total
-            // lands, then stop the switcher.
-            let expected: u64 = (0..3u64)
-                .map(|w| (0..400u64).filter(|i| (i + w) % 4 != 0).count() as u64)
-                .sum();
-            loop {
-                let total: u64 = cells
-                    .iter()
-                    .map(|c| rt.atomic(|tx| tx.read(c)))
-                    .sum();
-                if total >= expected {
-                    done.store(true, Ordering::Release);
-                    return;
-                }
                 std::thread::yield_now();
             }
         });

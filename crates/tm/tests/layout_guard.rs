@@ -10,7 +10,7 @@
 //! stripes out at the advertised granularity.
 
 use tm::layout;
-use tm::{Algorithm, ContentionManager, SerialLockMode, TmRuntime};
+use tm::{Algorithm, ContentionManager, SerialLockMode, TCell, TmRuntime};
 
 #[test]
 fn clock_shards_are_exactly_one_cache_line() {
@@ -38,6 +38,19 @@ fn seqlock_owns_its_cache_line() {
     // clock shards or stats counters on top of its true contention.
     assert_eq!(layout::SEQLOCK_ALIGN, layout::CACHE_LINE);
     assert!(layout::SEQLOCK_SIZE <= layout::CACHE_LINE);
+}
+
+#[test]
+fn own_block_values_get_a_block_of_their_own() {
+    // One orec covers one 64-byte block: a padded word must neither
+    // start mid-block nor leave room for a neighbour in its block.
+    type Padded = layout::OwnBlock<TCell<u64>>;
+    assert_eq!(std::mem::align_of::<Padded>(), 64);
+    assert_eq!(std::mem::size_of::<Padded>(), 64);
+    let pair = [layout::OwnBlock(TCell::new(1u64)), layout::OwnBlock(TCell::new(2u64))];
+    let a = pair[0].word() as *const _ as usize;
+    let b = pair[1].word() as *const _ as usize;
+    assert_ne!(a / 64, b / 64, "two padded words share a block");
 }
 
 #[test]

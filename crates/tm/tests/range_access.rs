@@ -9,7 +9,9 @@
 use std::cell::Cell;
 
 use testkit::rng::{Rng, SmallRng};
-use tm::{Abort, Algorithm, ContentionManager, SerialLockMode, TBytes, TmRuntime, Transaction};
+use tm::{
+    Abort, Algorithm, ContentionManager, SerialLockMode, TBytes, TWord, TmRuntime, Transaction,
+};
 
 const ALGOS: [Algorithm; 3] = [Algorithm::Eager, Algorithm::Lazy, Algorithm::Norec];
 
@@ -231,24 +233,37 @@ fn read_window<'e, T: Transaction<'e>>(
     }
 }
 
-/// Attempts taken by a transaction that reads `off..off+len` (by range or
-/// by word loop), lets another thread commit a flipped word `j`, then
-/// reads the window again. Both reads of the committed attempt must agree.
+/// A buffer of `LEN` patterned bytes.
+fn patterned() -> TBytes {
+    let init: Vec<u8> = (0..LEN).map(|i| (i * 31 + 7) as u8).collect();
+    TBytes::from_slice(&init)
+}
+
+/// Index of the first word of `b` that starts a 64-byte block, the unit
+/// one orec covers in the eager and lazy engines.
+fn first_block_word(b: &TBytes) -> usize {
+    let addr = b.word(0) as *const TWord as usize;
+    (64 - addr % 64) % 64 / 8
+}
+
+/// Attempts taken by a transaction that reads `off..off+len` of `b` (by
+/// range or by word loop), lets another thread commit a flipped word `j`,
+/// then reads the window again. Both reads of the committed attempt must
+/// agree.
 fn attempts_with_interference(
     algo: Algorithm,
     ranged: bool,
+    b: &TBytes,
     off: usize,
     len: usize,
     j: usize,
 ) -> u32 {
     let rt = runtime(algo);
-    let init: Vec<u8> = (0..LEN).map(|i| (i * 31 + 7) as u8).collect();
-    let b = TBytes::from_slice(&init);
     let attempts = Cell::new(0u32);
     let (first, second) = rt.atomic(|tx| {
         attempts.set(attempts.get() + 1);
         let mut first = vec![0u8; len];
-        read_window(tx, &b, ranged, off, &mut first)?;
+        read_window(tx, b, ranged, off, &mut first)?;
         if attempts.get() == 1 {
             std::thread::scope(|s| {
                 s.spawn(|| {
@@ -262,7 +277,7 @@ fn attempts_with_interference(
             });
         }
         let mut second = vec![0u8; len];
-        read_window(tx, &b, ranged, off, &mut second)?;
+        read_window(tx, b, ranged, off, &mut second)?;
         Ok((first, second))
     });
     assert_eq!(
@@ -284,9 +299,12 @@ fn concurrent_commit_to_one_word_aborts_like_the_word_loop() {
             let off = rng.gen_range(0..LEN - len + 1);
             let (w0, w1) = (off / 8, (off + len - 1) / 8);
             let inside = [w0, w1, rng.gen_range(w0..w1 + 1)];
+            // Range and loop read the same buffer, so they see the same
+            // block boundaries.
+            let b = patterned();
             for j in inside {
-                let by_range = attempts_with_interference(algo, true, off, len, j);
-                let by_word = attempts_with_interference(algo, false, off, len, j);
+                let by_range = attempts_with_interference(algo, true, &b, off, len, j);
+                let by_word = attempts_with_interference(algo, false, &b, off, len, j);
                 assert_eq!(
                     by_range, 2,
                     "{algo}: range {off}+{len} missed a commit to word {j}"
@@ -302,12 +320,149 @@ fn concurrent_commit_to_one_word_aborts_like_the_word_loop() {
                 w0 - 1
             };
             assert_eq!(
-                attempts_with_interference(algo, true, off, len, outside),
-                attempts_with_interference(algo, false, off, len, outside),
+                attempts_with_interference(algo, true, &b, off, len, outside),
+                attempts_with_interference(algo, false, &b, off, len, outside),
                 "{algo}: range and word loop disagree on outside word {outside}"
             );
         }
     }
+}
+
+/// Attempts the block-granular engines take when the committed word `j`
+/// shares an orec block with the window but lies outside it: the orec
+/// engines abort once (false conflict), NOrec validates values and does
+/// not.
+fn expected_outside_attempts(algo: Algorithm) -> u32 {
+    if algo == Algorithm::Norec {
+        1
+    } else {
+        2
+    }
+}
+
+/// A commit to a neighbouring word of the same 64-byte block aborts a
+/// range reader on the orec engines, as it aborts the word loop.
+#[test]
+fn neighbour_commit_in_the_block_aborts_a_range_reader() {
+    for algo in ALGOS {
+        for ranged in [true, false] {
+            let b = patterned();
+            let w = first_block_word(&b) + 2;
+            // Words w..w+2 read; word w+4 sits in the same block.
+            let attempts = attempts_with_interference(algo, ranged, &b, 8 * w, 16, w + 4);
+            assert_eq!(
+                attempts,
+                expected_outside_attempts(algo),
+                "{algo} ranged={ranged}: neighbour commit in the block"
+            );
+        }
+    }
+}
+
+/// Unaligned head and tail blocks: a range that starts and ends inside a
+/// block is covered by those blocks' orecs, so a commit to a word of the
+/// head block before the range, or of the tail block after it, aborts
+/// the reader on the orec engines.
+#[test]
+fn unaligned_head_and_tail_blocks_cover_the_range() {
+    for algo in ALGOS {
+        let b = patterned();
+        let h = first_block_word(&b) + 5;
+        // Three head words, one whole block, two tail words.
+        let (off, len) = (8 * h + 3, 8 * 13 - 3 - 5);
+        for j in [h - 1, h + 13] {
+            let attempts = attempts_with_interference(algo, true, &b, off, len, j);
+            assert_eq!(attempts, expected_outside_attempts(algo), "{algo}: word {j}");
+        }
+        // Inside the unaligned head and tail words, every engine aborts.
+        for j in [h, h + 12] {
+            assert_eq!(attempts_with_interference(algo, true, &b, off, len, j), 2, "{algo}: word {j}");
+        }
+    }
+}
+
+/// Eager holds a block's orec after its first write there; a range read
+/// of that block returns the attempt's own in-place writes and the
+/// neighbours' committed values, and the attempt commits first time.
+#[test]
+fn eager_reads_a_block_it_holds() {
+    let rt = runtime(Algorithm::Eager);
+    let b = patterned();
+    let w0 = first_block_word(&b);
+    let mut expect: Vec<u64> = (w0..w0 + 8).map(|i| b.load_word_direct(i)).collect();
+    expect[2] = 0xABCD;
+    expect[5] = 0x1234;
+    let attempts = Cell::new(0u32);
+    let got = rt.atomic(|tx| {
+        attempts.set(attempts.get() + 1);
+        tx.write_word(b.word(w0 + 2), 0xABCD)?;
+        tx.write_word(b.word(w0 + 5), 0x1234)?;
+        let mut dst = vec![0u64; 8];
+        tx.read_words(&b, w0, &mut dst)?;
+        Ok(dst)
+    });
+    assert_eq!(got, expect);
+    assert_eq!(attempts.get(), 1);
+    for (k, &v) in expect.iter().enumerate() {
+        assert_eq!(b.load_word_direct(w0 + k), v, "word {k} after commit");
+    }
+}
+
+/// Lazy read-after-write inside one block: buffered words come from the
+/// redo log, the rest of the block from memory under the block's orec,
+/// so a neighbour's commit before ours aborts the attempt. A block the
+/// redo log answers whole logs no read: a commit there before ours is
+/// simply overwritten by our later blind writes.
+#[test]
+fn lazy_reads_its_own_writes_inside_a_block() {
+    let rt = runtime(Algorithm::Lazy);
+    let b = patterned();
+    let w0 = first_block_word(&b);
+    let flip = |j: usize| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                rt.atomic(|w| {
+                    let v = w.read_word(b.word(j))?;
+                    w.write_word(b.word(j), !v)
+                })
+            })
+            .join()
+            .expect("interfering writer panicked");
+        });
+    };
+
+    let attempts = Cell::new(0u32);
+    rt.atomic(|tx| {
+        attempts.set(attempts.get() + 1);
+        tx.write_word(b.word(w0 + 2), 7)?;
+        let mut dst = vec![0u64; 8];
+        tx.read_words(&b, w0, &mut dst)?;
+        for (k, &v) in dst.iter().enumerate() {
+            let want = if k == 2 { 7 } else { b.load_word_direct(w0 + k) };
+            assert_eq!(v, want, "word {k}");
+        }
+        if attempts.get() == 1 {
+            flip(w0 + 6);
+        }
+        Ok(())
+    });
+    assert_eq!(attempts.get(), 2, "a neighbour's commit must abort the block reader");
+
+    let attempts = Cell::new(0u32);
+    rt.atomic(|tx| {
+        attempts.set(attempts.get() + 1);
+        tx.write_words(&b, w0, &[1, 2, 3, 4, 5, 6, 7, 8])?;
+        let mut dst = vec![0u64; 8];
+        tx.read_words(&b, w0, &mut dst)?;
+        assert_eq!(dst, [1, 2, 3, 4, 5, 6, 7, 8]);
+        if attempts.get() == 1 {
+            flip(w0 + 6);
+        }
+        Ok(())
+    });
+    assert_eq!(attempts.get(), 1, "a wholly buffered block logs no read");
+    let after: Vec<u64> = (w0..w0 + 8).map(|i| b.load_word_direct(i)).collect();
+    assert_eq!(after, [1, 2, 3, 4, 5, 6, 7, 8]);
 }
 
 /// A panic injected at an orec acquisition in the middle of a range write

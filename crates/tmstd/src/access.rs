@@ -62,7 +62,7 @@ pub trait ByteAccess<'env> {
 
     /// Reads whole backing words of a [`TBytes`], starting at word index
     /// `wi` — the bulk primitive behind the word-granular
-    /// `strlen`/`memcmp` clones (one orec/log entry per 8 bytes under
+    /// `strlen`/`memcmp` clones (one orec per 64-byte block under
     /// transactional access). Padding bytes past `b.len()` read as zero.
     ///
     /// The default reconstructs words from byte reads; both built-in

@@ -91,9 +91,10 @@ pub fn memcpy<'e, A: ByteAccess<'e>>(
     n: usize,
 ) -> Result<(), Abort> {
     // The bounce buffer is moved with word-granular get_range/put_range
-    // (one orec + one log entry per 8 bytes; byte merging only at the
-    // unaligned edges), so a 1KB value costs ~128 log entries instead of
-    // 1024 — the redo-log tax the paper's §4 measures.
+    // (one orec per 64-byte block and one redo entry per 8 bytes; byte
+    // merging only at the unaligned edges), so a 1KB value costs ~128
+    // redo entries instead of 1024 — the redo-log tax the paper's §4
+    // measures.
     let mut buf = [0u8; 256];
     let mut k = 0;
     while k < n {

@@ -31,7 +31,7 @@ echo "==> chaos tests (tm fault layer + chaos schedules + fault-path zero-alloc 
 cargo test -q --offline -p tm --features fault
 cargo test -q --offline -p testkit --features chaos
 
-echo "==> chaos stress (5s, every combo, deterministic fault plan; all four schedules)"
+echo "==> chaos stress (5s, every combo, deterministic fault plan; all five schedules)"
 cargo run --release --offline -p testkit --features chaos --bin stress -- --chaos --seconds 5
 
 # Wire smoke: a real mcached on ephemeral TCP + UDP + Unix transports
@@ -176,13 +176,16 @@ TESTKIT_BENCH_SAMPLES="${TESTKIT_BENCH_SAMPLES:-15}" \
 # 2. This ABSOLUTE gate: the fresh run's MINIMUM vs the committed
 #    BENCH_*.json baselines' MEDIAN (noise only ever adds time, so the
 #    fresh min is the stable cost estimate while the baseline median
-#    sits a noise margin above its own floor). Measured cross-epoch
-#    drift on shared hosts reaches ~35% even on minima, so the
-#    threshold is 50% — this tier only catches catastrophic (≳1.5x)
+#    sits a noise margin above its own floor). Both sides are
+#    host-normalized: each report records the calibration kernel's
+#    time, and fresh times are scaled by baseline over fresh
+#    calibration, so a slower host is not a regression. Measured
+#    cross-epoch drift on shared hosts reaches ~35% even on minima, so
+#    the threshold is 50% — this tier only catches catastrophic (≳1.5x)
 #    absolute regressions. Zero-alloc counters must stay exactly zero
 #    regardless. Runs BEFORE the cp below so the fresh reports can
 #    never gate against themselves.
-echo "==> bench regression gate (fresh min vs committed baseline median, 50%)"
+echo "==> bench regression gate (host-normalized fresh min vs committed baseline median, 50%)"
 cargo run --release --offline -p testkit --bin bench_compare -- . target/testkit-bench --threshold 50
 
 cp target/testkit-bench/BENCH_fastpath_*.json target/testkit-bench/BENCH_getpath_*.json \
