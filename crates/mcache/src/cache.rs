@@ -503,11 +503,15 @@ impl McCache {
         }
         let mut threads = Vec::new();
         if cache.cfg.maintenance {
-            threads.push(Self::supervised(&cache, McCache::assoc_maintenance_loop));
-            threads.push(Self::supervised(&cache, McCache::slab_rebalance_loop));
+            for (name, body) in [
+                ("mc-assoc", Self::assoc_maintenance_loop as fn(&McCache)),
+                ("mc-slab", Self::slab_rebalance_loop),
+            ] {
+                threads.push(Self::supervised(&cache, name, body));
+            }
         }
         if cache.cfg.adapt && cache.policy.item_mode == ItemMode::Transactional {
-            threads.push(Self::supervised(&cache, McCache::adapt_loop));
+            threads.push(Self::supervised(&cache, "mc-adapt", Self::adapt_loop));
         }
         McHandle { cache, threads }
     }
@@ -516,21 +520,24 @@ impl McCache {
     /// of the loop is counted and the loop re-entered, so one bad wakeup
     /// (e.g. an assertion tripped mid-migration) degrades to a lost batch
     /// instead of silently killing hash expansion or slab rebalancing for
-    /// the rest of the process's life.
-    fn supervised(cache: &Arc<McCache>, body: fn(&McCache)) -> JoinHandle<()> {
+    /// the rest of the process's life. `name` is the thread's `comm`.
+    fn supervised(cache: &Arc<McCache>, name: &str, body: fn(&McCache)) -> JoinHandle<()> {
         let c = cache.clone();
-        std::thread::spawn(move || loop {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&c)));
-            if r.is_ok() {
-                // The loop only returns on shutdown.
-                return;
-            }
-            c.maintenance_panics.fetch_add(1, Ordering::Relaxed);
-            if c.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            // Respawn: re-enter the loop body after the panic.
-        })
+        let spawn = std::thread::Builder::new().name(name.to_owned());
+        spawn
+            .spawn(move || loop {
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&c)));
+                if r.is_ok() {
+                    // The loop only returns on shutdown.
+                    return;
+                }
+                c.maintenance_panics.fetch_add(1, Ordering::Relaxed);
+                if c.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                // Respawn: re-enter the loop body after the panic.
+            })
+            .expect("spawn maintenance thread")
     }
 
     /// Stops the maintenance threads (idempotent) and seals the redo log
@@ -1445,7 +1452,7 @@ impl McCache {
                         it.write_value(&mut ctx, &policy, sizes, value).expect("direct");
                         let st = {
                             let _c = self.cache_lock.lock();
-                            self.link_new(&mut ctx, mode, key, hv, a.handle, a.evicted > 0)
+                            self.link_new(&mut ctx, mode, key, hv, a.handle)
                         };
                         if st == StoreStatus::Stored {
                             self.dur_store_record(&mut ctx, a.handle, key, value, flags)
@@ -1487,7 +1494,6 @@ impl McCache {
                                     key,
                                     hv,
                                     a.handle,
-                                    a.evicted > 0,
                                     false,
                                     None,
                                 )?;
@@ -1543,7 +1549,6 @@ impl McCache {
                                     key,
                                     hv,
                                     a.handle,
-                                    a.evicted > 0,
                                     true,
                                     None,
                                 )?;
@@ -1563,13 +1568,8 @@ impl McCache {
                             // IT hoists the maintenance wakeup out of the
                             // (already large) store transaction into its
                             // own section, whose entry *is* the sem_post.
-                            let evicted = a.evicted > 0;
                             self.tx_section(&[Category::SemPost], &[], |ctx| {
-                                self.signal_maintenance(ctx, false)?;
-                                if evicted {
-                                    self.signal_maintenance(ctx, true)?;
-                                }
-                                Ok(())
+                                self.signal_maintenance(ctx, false)
                             });
                         }
                         st
@@ -1635,7 +1635,6 @@ impl McCache {
                 hv: u32,
                 sizes: crate::item::ItemSizes,
                 h: ItemHandle,
-                evicted: bool,
             },
         }
         let preps: Vec<Prep> = ops
@@ -1648,7 +1647,7 @@ impl McCache {
                 };
                 if mags {
                     match self.magazine_take(w, class) {
-                        Some(h) => Prep::Ready { hv, sizes, h, evicted: false },
+                        Some(h) => Prep::Ready { hv, sizes, h },
                         None => Prep::Fail(StoreStatus::OutOfMemory),
                     }
                 } else {
@@ -1660,7 +1659,7 @@ impl McCache {
                         now,
                         usize::MAX,
                     ) {
-                        Ok(a) => Prep::Ready { hv, sizes, h: a.handle, evicted: a.evicted > 0 },
+                        Ok(a) => Prep::Ready { hv, sizes, h: a.handle },
                         Err(AllocError::TooLarge) => Prep::Fail(StoreStatus::TooLarge),
                         Err(AllocError::OutOfMemory) => Prep::Fail(StoreStatus::OutOfMemory),
                     }
@@ -1683,7 +1682,7 @@ impl McCache {
                 let expanding = core.assoc.is_expanding(ctx, &policy)?;
                 let _ = expanding;
                 for (op, prep) in ops.iter().zip(&preps) {
-                    let &Prep::Ready { hv, sizes, h, .. } = prep else {
+                    let &Prep::Ready { hv, sizes, h } = prep else {
                         let Prep::Fail(st) = prep else { unreachable!() };
                         statuses.push(*st);
                         continue;
@@ -1702,7 +1701,6 @@ impl McCache {
                         op.key,
                         hv,
                         h,
-                        false,
                         true,
                         if mags { Some(&mut reclaimed) } else { None },
                     )?;
@@ -1740,10 +1738,7 @@ impl McCache {
                 self.signal_maintenance(ctx, false)
             });
         }
-        let evicted = preps
-            .iter()
-            .any(|p| matches!(p, Prep::Ready { evicted: true, .. }));
-        if evicted || statuses.contains(&StoreStatus::OutOfMemory) {
+        if statuses.contains(&StoreStatus::OutOfMemory) {
             self.tx_section(&[Category::SemPost], &[], |ctx| {
                 self.signal_maintenance(ctx, true)
             });
@@ -1831,7 +1826,7 @@ impl McCache {
         let mut scratch: Vec<ItemHandle> = Vec::with_capacity(cap);
         let mut flushed = false;
         loop {
-            let evictions = self.tx_section(
+            self.tx_section(
                 &[Category::VolatileFlag],
                 &[Category::Libc, Category::RefcountRmw, Category::AssertAbort],
                 |ctx| {
@@ -1855,16 +1850,9 @@ impl McCache {
                         ctx.put_word(core.arena.needy_class.word(), class as u64)?;
                         ctx.volatile_write(&policy, core.arena.rebalance_signal.word(), 1)?;
                     }
-                    Ok(evicted)
+                    Ok(())
                 },
             );
-            if evictions > 0 {
-                // Deliver the wakeup outside the refill transaction, like
-                // the IT store hoists its sem_post.
-                self.tx_section(&[Category::SemPost], &[], |ctx| {
-                    self.signal_maintenance(ctx, true)
-                });
-            }
             if let Some(h) = scratch.pop() {
                 if !scratch.is_empty() {
                     let mut mag = self.workers[w].magazine.lock().unwrap();
@@ -1973,7 +1961,7 @@ impl McCache {
                 let expanding = core.assoc.is_expanding(ctx, &policy)?;
                 let _ = expanding;
                 let (st, signal) =
-                    self.link_new_tx(ctx, mode, key, hv, handle, false, true, Some(&mut reclaimed))?;
+                    self.link_new_tx(ctx, mode, key, hv, handle, true, Some(&mut reclaimed))?;
                 if st == StoreStatus::Stored {
                     self.dur_store_record(ctx, handle, key, value, flags)?;
                     self.hot_record_store(ctx, handle, key, hv, value, flags, hot_gen)?;
@@ -2010,9 +1998,8 @@ impl McCache {
         key: &[u8],
         hv: u32,
         new_h: ItemHandle,
-        evicted: bool,
     ) -> StoreStatus {
-        match self.link_new_tx(ctx, mode, key, hv, new_h, evicted, false, None) {
+        match self.link_new_tx(ctx, mode, key, hv, new_h, false, None) {
             Ok((st, _)) => st,
             Err(_) => unreachable!("direct sections never abort"),
         }
@@ -2041,7 +2028,6 @@ impl McCache {
         key: &[u8],
         hv: u32,
         new_h: ItemHandle,
-        evicted: bool,
         defer_signal: bool,
         reclaim: Option<&mut Option<ItemHandle>>,
     ) -> Result<(StoreStatus, bool), Abort> {
@@ -2088,18 +2074,10 @@ impl McCache {
                 }
                 let wants_maintainer = core.link_item(ctx, &policy, new_h, hv)?;
                 self.maybe_log(ctx, "set")?;
-                let mut signal_later = false;
-                if wants_maintainer || evicted {
-                    if defer_signal {
-                        signal_later = true;
-                    } else {
-                        self.signal_maintenance(ctx, false)?;
-                        if evicted {
-                            self.signal_maintenance(ctx, true)?;
-                        }
-                    }
+                if wants_maintainer && !defer_signal {
+                    self.signal_maintenance(ctx, false)?;
                 }
-                Ok((StoreStatus::Stored, signal_later))
+                Ok((StoreStatus::Stored, wants_maintainer && defer_signal))
             }
         }
     }
@@ -2459,6 +2437,9 @@ impl McCache {
         let core = &self.core;
         let policy = self.policy;
         while !self.shutdown.load(Ordering::SeqCst) {
+            // Only an out-of-memory store posts this thread; eviction
+            // pressure just raises `rebalance_signal`, which the timed
+            // wait polls (DESIGN §19).
             if !self.policy.semaphores {
                 let mut g = self.slabs_lock.lock();
                 g.wait_on_for(&self.slab_cv, Duration::from_millis(25));

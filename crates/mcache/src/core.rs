@@ -399,7 +399,8 @@ impl CacheCore {
             evicted += 1;
         };
         if evicted > 0 {
-            // Eviction pressure: same request, softer form.
+            // Eviction pressure: same request, softer form. Nobody posts
+            // the rebalancer for it; its timed wait polls the signal.
             ctx.put_word(self.arena.needy_class.word(), class as u64)?;
             ctx.volatile_write(policy, self.arena.rebalance_signal.word(), 1)?;
         }

@@ -301,32 +301,37 @@ impl Record {
     /// Encodes `stamp` + this record as a record payload.
     pub fn encode(&self, stamp: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        put_u64(&mut out, stamp);
+        self.encode_into(stamp, &mut out);
+        out
+    }
+
+    /// Appends the payload [`Record::encode`] returns to `out`.
+    fn encode_into(&self, stamp: u64, out: &mut Vec<u8>) {
+        put_u64(out, stamp);
         out.push(self.kind());
         match self {
             Record::Set { cas, flags, abs_exp, stored_unix, key, value } => {
-                put_u64(&mut out, *cas);
-                put_u32(&mut out, *flags);
-                put_u64(&mut out, *abs_exp);
-                put_u64(&mut out, *stored_unix);
-                put_bytes(&mut out, key);
-                put_bytes(&mut out, value);
+                put_u64(out, *cas);
+                put_u32(out, *flags);
+                put_u64(out, *abs_exp);
+                put_u64(out, *stored_unix);
+                put_bytes(out, key);
+                put_bytes(out, value);
             }
-            Record::Del { key } => put_bytes(&mut out, key),
+            Record::Del { key } => put_bytes(out, key),
             Record::Arith { cas, value, key } => {
-                put_u64(&mut out, *cas);
-                put_u64(&mut out, *value);
-                put_bytes(&mut out, key);
+                put_u64(out, *cas);
+                put_u64(out, *value);
+                put_bytes(out, key);
             }
             Record::Touch { abs_exp, touched_unix, key } => {
-                put_u64(&mut out, *abs_exp);
-                put_u64(&mut out, *touched_unix);
-                put_bytes(&mut out, key);
+                put_u64(out, *abs_exp);
+                put_u64(out, *touched_unix);
+                put_bytes(out, key);
             }
-            Record::FlushAll { flush_unix } => put_u64(&mut out, *flush_unix),
+            Record::FlushAll { flush_unix } => put_u64(out, *flush_unix),
             Record::Seal => {}
         }
-        out
     }
 
     /// Decodes a record payload; `None` on any structural mismatch.
@@ -357,13 +362,16 @@ impl Record {
     }
 }
 
-/// Frames a payload: `len crc payload`.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(payload));
-    out.extend_from_slice(payload);
-    out
+/// Appends `rec` at `stamp` to `out` as one frame, `len crc payload`:
+/// the payload is encoded in place and the header filled in after it.
+fn push_frame(out: &mut Vec<u8>, stamp: u64, rec: &Record) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    rec.encode_into(stamp, out);
+    let len = (out.len() - start - 8) as u32;
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn segment_name(epoch: u64, index: u32) -> String {
@@ -414,6 +422,8 @@ struct WriterInner {
     /// Appends known durable; the group-commit dedup floor.
     synced_seq: u64,
     appends_since_sync: u32,
+    /// The frame being appended, reused so an append allocates nothing.
+    frame: Vec<u8>,
 }
 
 /// The append-only log writer. One per cache; shared by every worker
@@ -468,6 +478,7 @@ impl DurLog {
                 seq: 0,
                 synced_seq: 0,
                 appends_since_sync: 0,
+                frame: Vec::new(),
             }),
             failed: AtomicBool::new(false),
             sealed: AtomicBool::new(false),
@@ -525,8 +536,6 @@ impl DurLog {
             self.stats.write_errors.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let payload = rec.encode(stamp);
-        let buf = frame(&payload);
         // Chaos window: indexed per attempted append, before any byte
         // lands, so a seed-chosen kill point is deterministic in the
         // number of *operations*, not in fsync timing.
@@ -546,12 +555,16 @@ impl DurLog {
         let my_seq;
         let mut need_sync = false;
         {
-            let mut g = self.inner.lock().unwrap();
+            let mut guard = self.inner.lock().unwrap();
+            let g = &mut *guard;
+            g.frame.clear();
+            push_frame(&mut g.frame, stamp, rec);
+            let len = g.frame.len() as u64;
             // Rotate before the frame would overflow the segment budget.
-            if g.seg_bytes + buf.len() as u64 > self.segment_bytes && g.seg_bytes > HEADER_BYTES {
+            if g.seg_bytes + len > self.segment_bytes && g.seg_bytes > HEADER_BYTES {
                 if self.fsync != DurFsync::Off {
                     if let Err(e) = g.file.sync_data() {
-                        drop(g);
+                        drop(guard);
                         self.degrade("rotation fsync", &e);
                         return;
                     }
@@ -566,7 +579,7 @@ impl DurLog {
                         g.appends_since_sync = 0;
                     }
                     Err(e) => {
-                        drop(g);
+                        drop(guard);
                         self.degrade("segment rotation", &e);
                         return;
                     }
@@ -574,22 +587,22 @@ impl DurLog {
             }
             let write_res = if kill_here && kill_mode == 1 {
                 // A torn record: half the frame, then death.
-                let _ = g.file.write_all(&buf[..buf.len() / 2]);
+                let _ = g.file.write_all(&g.frame[..g.frame.len() / 2]);
                 let _ = g.file.sync_data();
                 std::process::abort();
             } else {
-                g.file.write_all(&buf)
+                g.file.write_all(&g.frame)
             };
             if let Err(e) = write_res {
-                drop(g);
+                drop(guard);
                 self.degrade("append", &e);
                 return;
             }
-            g.seg_bytes += buf.len() as u64;
+            g.seg_bytes += len;
             g.seq += 1;
             my_seq = g.seq;
             self.stats.appends.fetch_add(1, Ordering::Relaxed);
-            self.stats.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+            self.stats.bytes.fetch_add(len, Ordering::Relaxed);
             match self.fsync {
                 DurFsync::Always => need_sync = true,
                 DurFsync::EveryN(k) => {
@@ -631,7 +644,8 @@ impl DurLog {
         if self.failed.load(Ordering::Relaxed) || self.sealed.swap(true, Ordering::SeqCst) {
             return;
         }
-        let buf = frame(&Record::Seal.encode(0));
+        let mut buf = Vec::new();
+        push_frame(&mut buf, 0, &Record::Seal);
         let mut g = self.inner.lock().unwrap();
         if let Err(e) = g.file.write_all(&buf).and_then(|()| g.file.sync_data()) {
             drop(g);
@@ -819,9 +833,9 @@ pub fn compact(dir: &Path, rec: &Recovery, unix_now: u64) -> io::Result<u64> {
             key: e.key.clone(),
             value: e.value.clone(),
         };
-        buf.extend_from_slice(&frame(&r.encode(i as u64 + 1)));
+        push_frame(&mut buf, i as u64 + 1, &r);
     }
-    buf.extend_from_slice(&frame(&Record::Seal.encode(0)));
+    push_frame(&mut buf, 0, &Record::Seal);
     file.write_all(&buf)?;
     file.sync_data()?;
     drop(file);
@@ -885,10 +899,17 @@ mod tests {
             let (stamp, dec) = Record::decode(&enc).expect("roundtrip");
             assert_eq!(stamp, i as u64 + 10);
             assert_eq!(&dec, r);
-            // Any flipped byte must fail the crc at frame level.
-            let f = frame(&enc);
-            let payload = &f[8..];
-            assert_eq!(crc32(payload), u32::from_le_bytes(f[4..8].try_into().unwrap()));
+            // The frame wraps exactly that payload, behind its length and
+            // crc, also when appended after an earlier frame.
+            let mut f = vec![0xAA; 3];
+            push_frame(&mut f, i as u64 + 10, r);
+            let f = &f[3..];
+            assert_eq!(&f[8..], &enc[..]);
+            assert_eq!(
+                u32::from_le_bytes(f[..4].try_into().unwrap()) as usize,
+                enc.len()
+            );
+            assert_eq!(crc32(&enc), u32::from_le_bytes(f[4..8].try_into().unwrap()));
         }
         assert!(Record::decode(b"").is_none());
         assert!(Record::decode(&[0; 9]).is_none());

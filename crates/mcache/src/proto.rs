@@ -62,6 +62,7 @@ pub fn stat_pairs(cache: &McCache) -> Vec<(&'static str, u64)> {
         ("slab_reassigns", s.global.rebalances),
         ("request_panics", s.request_panics),
         ("maintenance_panics", s.maintenance_panics),
+        ("maintenance_signals", s.global.maintenance_signals),
         // Write-path overdrive gauges: the STM's mutation fast lane
         // and the per-worker slab magazines.
         ("silent_store_elisions", tm.silent_store_elisions),

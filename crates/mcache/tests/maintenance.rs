@@ -2,7 +2,6 @@
 //! under live traffic, in both condition-synchronization styles (§3.2) and
 //! the transactional branches.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mcache::{Branch, McCache, McConfig, McHandle, SlabConfig, Stage};
@@ -146,6 +145,115 @@ fn rebalance_under_pressure_baseline() {
 #[test]
 fn rebalance_under_pressure_transactional() {
     rebalance_under_pressure(Branch::It(Stage::OnCommit));
+}
+
+/// A cache whose hash table never reaches its expansion threshold (2^14
+/// buckets against a pool that holds a few thousand items), so eviction
+/// is the only maintenance-relevant event a SET can cause.
+fn unsaturated(branch: Branch, magazine: usize) -> McHandle {
+    McCache::start(McConfig {
+        branch,
+        workers: 2,
+        slab: SlabConfig {
+            mem_limit: 512 << 10,
+            page_size: 32 << 10,
+            chunk_min: 96,
+            growth_factor: 1.5,
+        },
+        hash_power: 14,
+        hash_power_max: 15,
+        item_lock_power: 5,
+        magazine,
+        ..Default::default()
+    })
+}
+
+/// Eviction pressure only raises the rebalance signal, which the
+/// rebalancer polls: a stream of evicting SETs (single and batched) posts
+/// neither maintenance thread while the table stays below its expansion
+/// threshold.
+#[test]
+fn evicting_sets_wake_no_maintenance_thread() {
+    let arms = [
+        (Branch::Semaphore, 0),
+        (Branch::It(Stage::OnCommit), 0),
+        (Branch::It(Stage::OnCommit), 16),
+    ];
+    for (branch, magazine) in arms {
+        let handle = unsaturated(branch, magazine);
+        let c = handle.cache().clone();
+        let value = [5u8; 200];
+        for i in 0..6000 {
+            let key = format!("evict-{i}");
+            assert_eq!(
+                c.set(0, key.as_bytes(), &value, 0, 0),
+                mcache::StoreStatus::Stored,
+                "{branch}/mag {magazine}: {key}"
+            );
+        }
+        let keys: Vec<String> = (0..2000).map(|i| format!("batch-{i}")).collect();
+        for run in keys.chunks(8) {
+            let ops: Vec<mcache::StoreOp<'_>> = run
+                .iter()
+                .map(|k| mcache::StoreOp {
+                    mode: mcache::StoreMode::Set,
+                    key: k.as_bytes(),
+                    value: &value,
+                    flags: 0,
+                    exptime: 0,
+                })
+                .collect();
+            let st = c.store_batch(1, &ops);
+            assert!(
+                st.iter().all(|s| *s == mcache::StoreStatus::Stored),
+                "{branch}: {st:?}"
+            );
+        }
+        let g = c.stats().global;
+        assert!(
+            g.evictions > 0,
+            "{branch}/mag {magazine}: the stream must evict: {g:?}"
+        );
+        assert_eq!(
+            g.expansions, 0,
+            "{branch}/mag {magazine}: table must stay unsaturated"
+        );
+        assert_eq!(
+            g.maintenance_signals, 0,
+            "{branch}/mag {magazine}: eviction must not post a maintenance thread: {g:?}"
+        );
+    }
+}
+
+/// An out-of-memory store still posts the rebalancer: a class with no
+/// pages and nothing to evict fails its store and counts a signal.
+#[test]
+fn out_of_memory_store_signals_the_rebalancer() {
+    for branch in [
+        Branch::Baseline,
+        Branch::Semaphore,
+        Branch::It(Stage::OnCommit),
+    ] {
+        let handle = unsaturated(branch, 0);
+        let c = handle.cache().clone();
+        // Small items claim every page of the pool.
+        let mut i = 0;
+        while c.stats().global.evictions == 0 {
+            c.set(0, format!("small-{i}").as_bytes(), &[1u8; 64], 0, 0);
+            i += 1;
+        }
+        let before = c.stats().global.maintenance_signals;
+        assert_eq!(
+            c.set(0, b"big", &[2u8; 4000], 0, 0),
+            mcache::StoreStatus::OutOfMemory,
+            "{branch}"
+        );
+        assert!(
+            c.stats().global.maintenance_signals > before,
+            "{branch}: out-of-memory must post the rebalancer: {:?}",
+            c.stats().global
+        );
+    }
 }
 
 #[test]

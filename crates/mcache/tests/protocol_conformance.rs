@@ -179,3 +179,31 @@ fn stats_reflect_protocol_traffic() {
     assert!(stats.contains("STAT cmd_set 1"), "{stats}");
     assert!(stats.contains("STAT curr_items 1"), "{stats}");
 }
+
+/// The maintenance wakeup counter is reported by ASCII `stats` and by
+/// binary STAT, with the same value.
+#[test]
+fn maintenance_signals_ride_ascii_and_binary_stats() {
+    use mcache::proto::binary::{execute_pipeline, Opcode, Request};
+    let c = cache(Branch::It(Stage::OnCommit));
+    execute_ascii(&c, 0, b"set m 0 0 1\r\nM\r\n");
+    let ascii = String::from_utf8(execute_ascii(&c, 0, b"stats\r\n")).unwrap();
+    let ascii_val = ascii
+        .lines()
+        .find_map(|l| l.strip_prefix("STAT maintenance_signals "))
+        .unwrap_or_else(|| panic!("ASCII stats lacks maintenance_signals: {ascii}"));
+    let req = Request {
+        opcode: Opcode::Stat,
+        opaque: 1,
+        cas: 0,
+        key: Vec::new(),
+        value: Vec::new(),
+        extra: 0,
+    };
+    let binary = execute_pipeline(&c, 0, &[req]);
+    let r = binary
+        .iter()
+        .find(|r| r.key == b"maintenance_signals")
+        .expect("binary STAT lacks maintenance_signals");
+    assert_eq!(r.value, ascii_val.as_bytes());
+}

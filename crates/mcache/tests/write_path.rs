@@ -1,4 +1,5 @@
-//! Zero-allocation guard for the magazine write fast lane.
+//! Zero-allocation guards for the write path: the magazine SET fast lane
+//! and the redo-log append.
 //!
 //! ISSUE 5's acceptance criterion: once a worker's slab magazine is warm,
 //! a steady-state overwrite SET must perform **no heap allocation at
@@ -88,4 +89,35 @@ fn plain_transactional_sets_do_allocate_without_magazines() {
     // itself moves on this thread.
     let _ = c.get(0, b"hot-key");
     assert!(thread_allocs() > before, "counting allocator must be live");
+}
+
+#[test]
+fn steady_state_redo_log_append_never_allocates() {
+    use mcache::dur::{DurLog, Record};
+    use mcache::DurFsync;
+    let dir = std::env::temp_dir().join(format!("mcache-append-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // One segment holds every append below: rotation (a new file name)
+    // is not the steady state.
+    let log = DurLog::open(&dir, DurFsync::Off, 64 << 20, 0).unwrap();
+    let rec = Record::Set {
+        cas: 1,
+        flags: 0,
+        abs_exp: 0,
+        stored_unix: 0,
+        key: b"append-key".to_vec(),
+        value: vec![9u8; 1024],
+    };
+    // The first append sizes the writer's frame buffer.
+    log.append(1, &rec);
+    let before = thread_allocs();
+    for stamp in 2..202 {
+        log.append(stamp, &rec);
+    }
+    let allocs = thread_allocs() - before;
+    assert!(!log.is_failed());
+    assert_eq!(log.stats().snapshot().appends, 201);
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(allocs, 0, "a steady-state append must be allocation-free");
 }
