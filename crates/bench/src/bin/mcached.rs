@@ -10,18 +10,18 @@
 //! Runs until stdin reaches EOF, a line reading `shutdown` arrives (so a
 //! harness can stop it cleanly through a pipe), or `SIGTERM`/`SIGINT` is
 //! delivered. All three paths drain the workers, seal the redo log (when
-//! `--dur-path` is set), print the final wire counters, and exit 0.
-//! `--port 0` binds an ephemeral port; the `LISTENING` line reports the
-//! real one. `--udp PORT` and `--unix PATH` open the extra transports
-//! (each gets its own `LISTENING-UDP` / `LISTENING-UNIX` line), and
-//! `--event-loop {epoll,poll}` selects the readiness backend. Starting
-//! on a `--dur-path` that already holds a log replays it before the
-//! socket opens.
+//! `--dur-path` is set), print the final wire counters, and exit 0. The
+//! main thread sleeps in `sigwait` until then; the stdin thread turns
+//! `shutdown` or EOF into a `SIGTERM` to the process. `--port 0` binds
+//! an ephemeral port; the `LISTENING` line reports the real one. `--udp
+//! PORT` and `--unix PATH` open the extra transports (each gets its own
+//! `LISTENING-UDP` / `LISTENING-UNIX` line). Workers run one epoll loop
+//! each (Linux). Starting on a `--dur-path` that already holds a log
+//! replays it before the socket opens.
 
 use std::io::BufRead;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-use mcache::net::{EventLoop, NetConfig, Server};
+use mcache::net::{NetConfig, Server};
 use mcache::{Branch, DurFsync, McCache, McConfig, Stage};
 
 struct Args {
@@ -34,7 +34,6 @@ struct Args {
     dur_fsync: DurFsync,
     udp_port: Option<u16>,
     unix_path: Option<std::path::PathBuf>,
-    event_loop: EventLoop,
     idle_timeout_ms: u64,
 }
 
@@ -67,7 +66,6 @@ fn parse_args() -> Args {
         dur_fsync: DurFsync::EveryN(32),
         udp_port: None,
         unix_path: None,
-        event_loop: EventLoop::default(),
         idle_timeout_ms: 0,
     };
     let mut it = std::env::args().skip(1);
@@ -128,14 +126,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }
             }
-            "--event-loop" => {
-                if let Some(b) = it.next().as_deref().and_then(|s| s.parse().ok()) {
-                    args.event_loop = b;
-                } else {
-                    eprintln!("--event-loop takes epoll | poll");
-                    std::process::exit(2);
-                }
-            }
             "--idle-timeout-ms" => {
                 if let Some(v) = num(&mut it) {
                     args.idle_timeout_ms = v as u64;
@@ -158,33 +148,39 @@ fn parse_args() -> Args {
     args
 }
 
-/// Set by the signal handler; polled by the main loop. A relaxed store
-/// on a static `AtomicBool` is async-signal-safe.
-static STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_sig: i32) {
-    STOP.store(true, Ordering::Relaxed);
+// Raw C-library symbols: the workspace is hermetic (no `libc` crate).
+// The constants are Linux's, where the server runs; a `sigset_t` is
+// 128 bytes there.
+const SIGINT: i32 = 2;
+const SIGTERM: i32 = 15;
+const SIG_BLOCK: i32 = 0;
+type SigSet = [u64; 16];
+extern "C" {
+    fn sigemptyset(set: *mut SigSet) -> i32;
+    fn sigaddset(set: *mut SigSet, signum: i32) -> i32;
+    fn pthread_sigmask(how: i32, set: *const SigSet, old: *mut SigSet) -> i32;
+    fn sigwait(set: *const SigSet, sig: *mut i32) -> i32;
+    fn kill(pid: i32, sig: i32) -> i32;
 }
 
-/// Installs `on_signal` for SIGINT and SIGTERM through the raw
-/// `signal(2)` symbol — the workspace is hermetic (no `libc` crate), and
-/// these two constants are identical across the platforms we target.
-fn install_signal_handlers() {
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    let handler = on_signal as extern "C" fn(i32) as usize;
+/// Blocks SIGINT and SIGTERM in the calling thread and returns the set.
+/// Called before any thread spawns, so every thread inherits the mask
+/// and a stop signal stays pending until `main` takes it in `sigwait`.
+fn block_stop_signals() -> SigSet {
+    let mut set: SigSet = [0; 16];
+    // SAFETY: `set` is a live, writable buffer the size of `sigset_t`.
     unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
+        sigemptyset(&mut set);
+        sigaddset(&mut set, SIGINT);
+        sigaddset(&mut set, SIGTERM);
+        pthread_sigmask(SIG_BLOCK, &set, std::ptr::null_mut());
     }
+    set
 }
 
 fn main() {
     let args = parse_args();
-    install_signal_handlers();
+    let stop_signals = block_stop_signals();
     let handle = McCache::start(McConfig {
         branch: args.branch,
         workers: args.threads,
@@ -204,7 +200,6 @@ fn main() {
         NetConfig {
             addr: format!("{}:{}", args.host, args.port),
             workers: args.threads,
-            event_loop: args.event_loop,
             udp_addr: args.udp_port.map(|p| format!("{}:{}", args.host, p)),
             unix_path: args.unix_path,
             idle_timeout_ms: args.idle_timeout_ms,
@@ -227,8 +222,8 @@ fn main() {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    // Stdin lives on its own thread so the main loop can also watch the
-    // signal flag; `read_line` can't be interrupted portably.
+    // Stdin lives on its own thread and ends in a SIGTERM to the
+    // process, so main has one way to wake: `sigwait`.
     std::thread::spawn(|| {
         let stdin = std::io::stdin();
         for line in stdin.lock().lines() {
@@ -238,11 +233,12 @@ fn main() {
                 Err(_) => break,
             }
         }
-        STOP.store(true, Ordering::Relaxed);
+        // SAFETY: kill(2) takes plain integers and touches no memory.
+        unsafe { kill(std::process::id() as i32, SIGTERM) };
     });
-    while !STOP.load(Ordering::Relaxed) {
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
+    let mut sig = 0;
+    // SAFETY: both pointers are to live locals of the declared types.
+    unsafe { sigwait(&stop_signals, &mut sig) };
 
     // Graceful teardown: stop accepting, drain in-flight connections,
     // then seal the redo log so the next start skips the torn-tail scan.

@@ -2,8 +2,7 @@
 //! scanning, and coalesced dispatch into the protocol layer.
 //!
 //! The same state machine serves TCP and Unix-domain streams (the
-//! [`Stream`] enum) and both event backends: the polling loop pumps
-//! every connection each round, the epoll loop pumps on readiness
+//! [`Stream`] enum). The worker pumps a connection on its readiness
 //! edges and uses the [`Pump::repump`] signal to keep draining work
 //! that a single pump capped (edge-triggered epoll only re-notifies on
 //! new bytes, so capped work must be carried by the worker, not the
@@ -74,20 +73,15 @@ impl Stream {
 pub(crate) struct Pump {
     /// Keep the connection registered (false = close it now).
     pub(crate) keep: bool,
-    /// Any bytes moved — the polling backend's idle-sleep signal.
-    pub(crate) busy: bool,
     /// Work remains that no readiness edge will announce: the read cap
     /// stopped short of `WouldBlock`, or dispatch hit its output budget
-    /// with complete frames still buffered. The epoll worker must pump
-    /// again without waiting; the polling worker re-pumps every round
-    /// anyway.
+    /// with complete frames still buffered. The worker must pump again
+    /// without waiting.
     pub(crate) repump: bool,
 }
 
 impl Pump {
-    fn closed(busy: bool) -> Pump {
-        Pump { keep: false, busy, repump: false }
-    }
+    const CLOSED: Pump = Pump { keep: false, repump: false };
 }
 
 pub(crate) struct Connection {
@@ -106,8 +100,8 @@ pub(crate) struct Connection {
     /// reaper's clock.
     pub(crate) last_activity: Instant,
     /// Whether this connection is currently registered with `EPOLLOUT`
-    /// armed (epoll backend only; tracked here so the worker issues
-    /// `epoll_ctl` only on arm/disarm edges, not every pump).
+    /// armed (tracked here so the worker issues `epoll_ctl` only on
+    /// arm/disarm edges, not every pump).
     pub(crate) epollout_armed: bool,
     /// Whether this connection sits in the worker's hot (repump) list,
     /// so the list stays duplicate-free.
@@ -142,8 +136,8 @@ impl Connection {
     }
 
     /// One pump round: flush pending writes, drain the socket, dispatch
-    /// every complete frame, flush again. Works identically for both
-    /// backends; see [`Pump`] for what the worker does with the result.
+    /// every complete frame, flush again. See [`Pump`] for what the
+    /// worker does with the result.
     /// `chunk` is the worker's read buffer (`read_chunk` bytes), reused
     /// across pumps and connections.
     pub(crate) fn pump(
@@ -155,7 +149,7 @@ impl Connection {
     ) -> Pump {
         let mut busy = false;
         if !self.flush(shared, &mut busy) {
-            return Pump::closed(busy);
+            return Pump::CLOSED;
         }
         // Backpressure: a client that pipelines requests but does not
         // drain responses parks here — no reads, no dispatch — until
@@ -173,7 +167,7 @@ impl Connection {
             if busy {
                 self.last_activity = Instant::now();
             }
-            return Pump { keep: true, busy, repump: false };
+            return Pump { keep: true, repump: false };
         }
         let mut peer_closed = false;
         let mut hit_read_cap = true;
@@ -194,12 +188,12 @@ impl Connection {
                     break;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Pump::closed(busy),
+                Err(_) => return Pump::CLOSED,
             }
         }
         let more_frames = self.dispatch(cache, w, shared);
         if !self.flush(shared, &mut busy) {
-            return Pump::closed(busy);
+            return Pump::CLOSED;
         }
         if busy {
             self.last_activity = Instant::now();
@@ -208,14 +202,13 @@ impl Connection {
             // Whatever could be answered was; a half-open client gets
             // the remaining responses dropped with the connection, as
             // memcached does.
-            return Pump::closed(busy);
+            return Pump::CLOSED;
         }
         if self.close_after_flush && self.wpos == self.wbuf.len() {
-            return Pump::closed(busy);
+            return Pump::CLOSED;
         }
         Pump {
             keep: true,
-            busy,
             // The read cap stopping short of `WouldBlock` means bytes
             // may still sit in the socket buffer with no future edge to
             // announce them; budget-capped dispatch leaves complete

@@ -4,9 +4,8 @@
 //! The workspace is hermetic — no `libc` crate — so the three epoll
 //! entry points are declared as raw `extern "C"` symbols against the C
 //! library `std` already links, the same technique `mcached` uses for
-//! `signal(2)`. Everything is `#[cfg(target_os = "linux")]`; on other
-//! platforms [`Poller::new`] reports `Unsupported` and the server falls
-//! back to the portable polling loop ([`super::EventLoop::Poll`]).
+//! its signal calls. The module is Linux-only; elsewhere
+//! `Server::start` reports `Unsupported`.
 //!
 //! Registration protocol (DESIGN §16):
 //!
@@ -21,8 +20,8 @@
 //!   so an idle writable socket never wakes anybody (the arm/disarm
 //!   signal is exactly the backpressure state from PR 7).
 
-#[cfg(not(target_os = "linux"))]
 use std::io;
+use std::os::unix::io::RawFd;
 
 /// One readiness event: the registration token plus edge flags.
 #[derive(Clone, Copy, Debug)]
@@ -37,158 +36,119 @@ pub(crate) struct Event {
     pub(crate) writable: bool,
 }
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use super::Event;
-    use std::io;
-    use std::os::unix::io::RawFd;
+// <sys/epoll.h>, x86_64/aarch64 Linux ABI. The event struct is
+// packed on x86_64 (the kernel ABI predates natural alignment).
+#[repr(C, packed)]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
-    // <sys/epoll.h>, x86_64/aarch64 Linux ABI. The event struct is
-    // packed on x86_64 (the kernel ABI predates natural alignment).
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLET: u32 = 1 << 31;
+
+extern "C" {
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn close(fd: i32) -> i32;
+}
+
+/// One epoll instance. Each network worker owns exactly one, so its
+/// ready set only ever names connections that worker owns.
+pub(crate) struct Poller {
+    epfd: RawFd,
+    buf: Vec<EpollEvent>,
+}
+
+impl Poller {
+    pub(crate) fn new() -> io::Result<Poller> {
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Poller {
+            epfd,
+            buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EPOLLET: u32 = 1 << 31;
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: EPOLLIN | EPOLLRDHUP | EPOLLET | if writable { EPOLLOUT } else { 0 },
+            data: token,
+        };
+        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
-    /// One epoll instance. Each network worker owns exactly one, so its
-    /// ready set only ever names connections that worker owns.
-    pub(crate) struct Poller {
-        epfd: RawFd,
-        buf: Vec<EpollEvent>,
+    /// Registers `fd` edge-triggered with permanent read interest;
+    /// `writable` arms `EPOLLOUT` too.
+    pub(crate) fn add(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, writable)
     }
 
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Poller> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: EPOLLIN | EPOLLRDHUP | EPOLLET | if writable { EPOLLOUT } else { 0 },
-                data: token,
-            };
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Registers `fd` edge-triggered with permanent read interest;
-        /// `writable` arms `EPOLLOUT` too.
-        pub(crate) fn add(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, writable)
-        }
-
-        /// Re-registers `fd` — the EPOLLOUT arm/disarm edge.
-        pub(crate) fn modify(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, writable)
-        }
-
-        /// Deregisters `fd`. Closing an fd removes it implicitly; this
-        /// exists for the reaper, which deregisters before the stream
-        /// drop so a same-batch stale event can never land on a reused
-        /// slot.
-        pub(crate) fn delete(&self, fd: RawFd) {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
-        }
-
-        /// Waits up to `timeout_ms` (0 = poll, -1 = forever) and appends
-        /// the ready set to `out`. EINTR reads as an empty set.
-        pub(crate) fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as i32,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for ev in &self.buf[..n as usize] {
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    // Error/hangup edges count as readable so the next
-                    // read(2) surfaces the condition to the pump.
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                });
-            }
-            Ok(())
-        }
+    /// Re-registers `fd` — the EPOLLOUT arm/disarm edge.
+    pub(crate) fn modify(&self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, writable)
     }
 
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe { close(self.epfd) };
+    /// Deregisters `fd`. Closing an fd removes it implicitly; this
+    /// exists for the reaper, which deregisters before the stream
+    /// drop so a same-batch stale event can never land on a reused
+    /// slot.
+    pub(crate) fn delete(&self, fd: RawFd) {
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
+    }
+
+    /// Waits up to `timeout_ms` (0 = poll, -1 = forever) and appends
+    /// the ready set to `out`. EINTR reads as an empty set.
+    pub(crate) fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        let n = unsafe {
+            epoll_wait(
+                self.epfd,
+                self.buf.as_mut_ptr(),
+                self.buf.len() as i32,
+                timeout_ms,
+            )
+        };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(());
+            }
+            return Err(e);
         }
+        for ev in &self.buf[..n as usize] {
+            let bits = ev.events;
+            out.push(Event {
+                token: ev.data,
+                // Error/hangup edges count as readable so the next
+                // read(2) surfaces the condition to the pump.
+                readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0,
+                writable: bits & EPOLLOUT != 0,
+            });
+        }
+        Ok(())
     }
 }
 
-#[cfg(target_os = "linux")]
-pub(crate) use sys::Poller;
-
-/// Non-Linux stub: construction fails, pushing [`super::worker_loop`]
-/// onto the portable polling backend.
-#[cfg(not(target_os = "linux"))]
-pub(crate) struct Poller;
-
-#[cfg(not(target_os = "linux"))]
-impl Poller {
-    pub(crate) fn new() -> io::Result<Poller> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use EventLoop::Poll",
-        ))
-    }
-
-    pub(crate) fn add(&self, _fd: i32, _token: u64, _writable: bool) -> io::Result<()> {
-        unreachable!("stub poller cannot be constructed")
-    }
-
-    pub(crate) fn modify(&self, _fd: i32, _token: u64, _writable: bool) -> io::Result<()> {
-        unreachable!("stub poller cannot be constructed")
-    }
-
-    pub(crate) fn delete(&self, _fd: i32) {}
-
-    pub(crate) fn wait(&mut self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<()> {
-        unreachable!("stub poller cannot be constructed")
+impl Drop for Poller {
+    fn drop(&mut self) {
+        unsafe { close(self.epfd) };
     }
 }

@@ -10,17 +10,15 @@
 //!   through worker slot `w`, so the STM's per-worker descriptors,
 //!   stats shards and slab magazines all stay thread-private — no
 //!   cross-thread handoff anywhere on the request path.
-//! - **Readiness-driven service.** On Linux each worker owns one epoll
-//!   instance ([`EventLoop::Epoll`], the default): its listener clones,
-//!   the shared UDP socket, and its connections are registered
+//! - **One readiness-driven event loop.** Each worker owns one epoll
+//!   instance, built by [`Server::start`]: its listener clones, the
+//!   shared UDP socket, and its connections are registered
 //!   edge-triggered, read interest is permanent, and `EPOLLOUT` is
-//!   armed only while a connection owes response bytes (the PR 7
+//!   armed only while a connection owes response bytes (the
 //!   backpressure marks double as the arm/disarm signal). Idle workers
 //!   sleep in `epoll_wait` — near-zero idle CPU, no sleep-quantum tail
-//!   latency, and scale to 10k mostly-idle connections. The PR 6
-//!   polling loop remains as [`EventLoop::Poll`], the portable
-//!   fallback; both backends drive the identical connection state
-//!   machine and are byte-equivalent on the wire.
+//!   latency, and scale to 10k mostly-idle connections. The server is
+//!   Linux-only; elsewhere [`Server::start`] reports `Unsupported`.
 //! - **Three transports, one state machine.** TCP and Unix-domain
 //!   streams share [`conn::Connection`] verbatim; the UDP endpoint
 //!   (`udp.rs`) frames each datagram with memcached's 8-byte UDP
@@ -61,8 +59,13 @@
 //! [`proto::scan_frame`]: crate::proto::scan_frame
 //! [`proto::execute_ascii_run`]: crate::proto::execute_ascii_run
 
+// Off Linux only the portable pieces (the UDP frame helpers) are live.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
+
 mod conn;
+#[cfg(target_os = "linux")]
 mod event;
+#[cfg(target_os = "linux")]
 mod listener;
 pub mod udp;
 
@@ -77,49 +80,6 @@ use std::thread::JoinHandle;
 
 use crate::cache::{McCache, McHandle};
 
-/// Which readiness backend the workers run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventLoop {
-    /// Edge-triggered epoll readiness (Linux). Idle workers sleep in
-    /// `epoll_wait`; non-Linux hosts silently fall back to [`Poll`].
-    ///
-    /// [`Poll`]: EventLoop::Poll
-    Epoll,
-    /// The portable polling loop: pump every connection each round,
-    /// nap [`NetConfig::idle_sleep_us`] when nothing moved.
-    Poll,
-}
-
-impl Default for EventLoop {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            EventLoop::Epoll
-        } else {
-            EventLoop::Poll
-        }
-    }
-}
-
-impl std::str::FromStr for EventLoop {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s {
-            "epoll" => Ok(EventLoop::Epoll),
-            "poll" => Ok(EventLoop::Poll),
-            _ => Err(()),
-        }
-    }
-}
-
-impl std::fmt::Display for EventLoop {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EventLoop::Epoll => "epoll",
-            EventLoop::Poll => "poll",
-        })
-    }
-}
-
 /// Configuration for [`Server::start`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
@@ -131,10 +91,6 @@ pub struct NetConfig {
     pub workers: usize,
     /// Bytes per `read(2)` into a connection buffer.
     pub read_chunk: usize,
-    /// Poll-idle sleep in microseconds when a worker finds no bytes and
-    /// no new connections ([`EventLoop::Poll`] backend only — the epoll
-    /// backend sleeps in `epoll_wait` instead).
-    pub idle_sleep_us: u64,
     /// Backpressure high-water mark: once a connection's pending
     /// response bytes reach this, the worker stops reading (and
     /// answering) that connection until the backlog flushes below it —
@@ -142,12 +98,9 @@ pub struct NetConfig {
     /// cannot grow the write buffer without bound. Per-dispatch
     /// response output is budgeted by the same mark, so the buffer
     /// overshoots it by at most one coalesced run. Stalls are counted
-    /// in [`NetSnapshot::backpressure_stalls`]. On the epoll backend
-    /// the same state is the `EPOLLOUT` arm/disarm signal.
+    /// in [`NetSnapshot::backpressure_stalls`]. The same state is the
+    /// `EPOLLOUT` arm/disarm signal.
     pub wbuf_high_water: usize,
-    /// Readiness backend. Defaults to [`EventLoop::Epoll`] on Linux,
-    /// [`EventLoop::Poll`] elsewhere.
-    pub event_loop: EventLoop,
     /// UDP endpoint (e.g. `"127.0.0.1:0"`); `None` = no UDP transport.
     /// Serves the memcached UDP frame protocol ([`udp`]) on a socket
     /// shared by every worker.
@@ -168,9 +121,7 @@ impl Default for NetConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             read_chunk: 16 << 10,
-            idle_sleep_us: 200,
             wbuf_high_water: 4 << 20,
-            event_loop: EventLoop::default(),
             udp_addr: None,
             unix_path: None,
             idle_timeout_ms: 0,
@@ -268,10 +219,26 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured transports and spawns the worker threads.
+    /// Off Linux there is no epoll for the workers to run on.
+    #[cfg(not(target_os = "linux"))]
+    pub fn start(_cache: McHandle, _cfg: NetConfig) -> io::Result<Server> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the wire server runs on Linux epoll",
+        ))
+    }
+
+    /// Binds the configured transports, builds each worker's epoll
+    /// instance with its listener clones registered, and spawns the
+    /// worker threads.
+    ///
+    /// # Errors
+    /// Any bind or epoll setup failure; `Unsupported` off Linux, since
+    /// the workers run on epoll.
     ///
     /// # Panics
     /// If `cfg.workers` exceeds the cache's worker slots.
+    #[cfg(target_os = "linux")]
     pub fn start(cache: McHandle, cfg: NetConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
@@ -285,7 +252,6 @@ impl Server {
             None => None,
         };
         let udp_addr = udp.as_ref().map(|s| s.local_addr()).transpose()?;
-        #[cfg(unix)]
         let unix = match &cfg.unix_path {
             Some(path) => {
                 // A stale socket file from a crashed run blocks bind;
@@ -298,13 +264,6 @@ impl Server {
             }
             None => None,
         };
-        #[cfg(not(unix))]
-        if cfg.unix_path.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix-domain sockets need a unix platform",
-            ));
-        }
         let unix_path = cfg.unix_path.clone();
         let workers = if cfg.workers == 0 {
             cache.worker_slots()
@@ -316,6 +275,9 @@ impl Server {
             "net workers ({workers}) must fit the cache's worker slots ({})",
             cache.worker_slots()
         );
+        let ios = (0..workers)
+            .map(|_| listener::WorkerIo::new(&listener, unix.as_ref(), udp.as_ref()))
+            .collect::<io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
             cache: cache.cache().clone(),
             stats: NetStats::default(),
@@ -323,13 +285,7 @@ impl Server {
             cfg,
         });
         let mut threads = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let io = listener::WorkerIo {
-                tcp: listener.try_clone()?,
-                #[cfg(unix)]
-                unix: unix.as_ref().map(|l| l.try_clone()).transpose()?,
-                udp: udp.as_ref().map(|s| s.try_clone()).transpose()?,
-            };
+        for (w, io) in ios.into_iter().enumerate() {
             let s = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()

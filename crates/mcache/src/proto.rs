@@ -288,44 +288,20 @@ fn execute_ascii_inner(cache: &McCache, w: usize, request: &[u8]) -> Vec<u8> {
     }
 }
 
-/// Executes a buffer holding MULTIPLE complete ASCII requests — a
-/// pipelined connection read — and returns the concatenated responses in
-/// order.
+/// Executes a run of pre-split COMPLETE ASCII requests — the frames
+/// [`scan_frame`] delimited in a connection's read buffer or a UDP
+/// datagram — and returns the concatenated responses in order.
 ///
 /// Runs of consecutive simple storage commands (`set`/`add`/`replace`/
 /// `cas`) execute as ONE batched store transaction via
 /// [`McCache::store_batch`] — the write-path twin of the multiget batch —
-/// so a bulk load pays one begin/commit fence for the whole run. Every
-/// other command (including `append`/`prepend`, which are get+CAS retry
-/// loops) dispatches one-by-one through [`execute_ascii`], keeping its
-/// per-request panic guard. A panic inside a batched run is caught here
-/// and answered with one [`SERVER_ERROR_PANIC`] per batched command.
-pub fn execute_ascii_pipeline(cache: &McCache, w: usize, buffer: &[u8]) -> Vec<u8> {
-    let mut cmds: Vec<&[u8]> = Vec::new();
-    let mut rest = buffer;
-    while !rest.is_empty() {
-        let Some(len) = ascii_request_len(rest) else {
-            // Unsplittable tail: the single-request path answers ERROR /
-            // CLIENT_ERROR exactly as a desynchronized connection would.
-            cmds.push(rest);
-            break;
-        };
-        cmds.push(&rest[..len]);
-        rest = &rest[len..];
-    }
-    execute_ascii_run(cache, w, &cmds)
-}
-
-/// Executes a run of pre-split COMPLETE ASCII requests — the batching
-/// core shared by [`execute_ascii_pipeline`] (whole-buffer splitting),
-/// [`execute_ascii_pipeline_consumed`] (incremental framing), and the
-/// TCP connection dispatcher, which feeds it exactly the frames sitting
-/// in a connection's read buffer.
-///
-/// Runs of consecutive simple storage commands execute as ONE batched
-/// store transaction via [`McCache::store_batch`]; `noreply` ops inside
-/// a batch keep their quiet semantics (the store happens, the reply is
-/// suppressed).
+/// so a bulk load pays one begin/commit fence for the whole run;
+/// `noreply` ops inside a batch keep their quiet semantics (the store
+/// happens, the reply is suppressed). Every other command (including
+/// `append`/`prepend`, which are get+CAS retry loops) dispatches
+/// one-by-one through [`execute_ascii`], keeping its per-request panic
+/// guard. A panic inside a batched run is caught here and answered with
+/// one [`SERVER_ERROR_PANIC`] per batched command.
 pub fn execute_ascii_run(cache: &McCache, w: usize, cmds: &[&[u8]]) -> Vec<u8> {
     let mut out = Vec::new();
     let mut i = 0;
@@ -524,96 +500,6 @@ pub fn scan_frame(buf: &[u8]) -> FrameScan {
     } else {
         FrameScan::Ascii { len: total }
     }
-}
-
-/// Outcome of [`execute_ascii_pipeline_consumed`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PipelineOutcome {
-    /// Concatenated wire responses for every executed request.
-    pub responses: Vec<u8>,
-    /// Bytes consumed from the front of the buffer. Anything after is a
-    /// partial frame the caller must keep for the next socket read.
-    pub consumed: usize,
-    /// Further bytes to discard as they arrive (see [`FrameScan::Error`]).
-    pub swallow: usize,
-    /// Whether the connection should close after flushing `responses`.
-    pub close: bool,
-}
-
-/// Incremental twin of [`execute_ascii_pipeline`]: executes every
-/// COMPLETE ASCII request at the front of `buffer` — with the same
-/// consecutive-store batching — and reports exactly how many bytes were
-/// consumed. A trailing partial frame (a `set` whose data block
-/// straddles two socket reads) is left unconsumed for the next read to
-/// complete; a malformed head reports its error response plus
-/// swallow/close state. Stops without consuming at the first binary
-/// frame — protocol interleaving is the connection dispatcher's job.
-pub fn execute_ascii_pipeline_consumed(
-    cache: &McCache,
-    w: usize,
-    buffer: &[u8],
-) -> PipelineOutcome {
-    let mut cmds: Vec<&[u8]> = Vec::new();
-    let mut consumed = 0;
-    let mut swallow = 0;
-    let mut close = false;
-    let mut tail_error: Option<Vec<u8>> = None;
-    loop {
-        match scan_frame(&buffer[consumed..]) {
-            FrameScan::Ascii { len } => {
-                cmds.push(&buffer[consumed..consumed + len]);
-                consumed += len;
-            }
-            FrameScan::Incomplete | FrameScan::Binary { .. } => break,
-            FrameScan::Error {
-                consumed: c,
-                swallow: s,
-                close: cl,
-                response,
-            } => {
-                consumed += c;
-                swallow = s;
-                close = cl;
-                tail_error = Some(response);
-                break;
-            }
-        }
-    }
-    let mut responses = execute_ascii_run(cache, w, &cmds);
-    if let Some(e) = tail_error {
-        responses.extend_from_slice(&e);
-    }
-    PipelineOutcome {
-        responses,
-        consumed,
-        swallow,
-        close,
-    }
-}
-
-/// Length of the first complete request in `buf`: the command line plus,
-/// for storage commands, the data block. `None` when the buffer cannot be
-/// split cleanly (malformed or truncated).
-fn ascii_request_len(buf: &[u8]) -> Option<usize> {
-    let line_end = buf.windows(2).position(|w| w == b"\r\n")?;
-    let mut parts = Tokens::new(&buf[..line_end]);
-    let cmd = parts.next()?;
-    let is_store = matches!(
-        cmd,
-        b"set" | b"add" | b"replace" | b"append" | b"prepend" | b"cas"
-    );
-    if !is_store {
-        return Some(line_end + 2);
-    }
-    let _key = parts.next()?;
-    let _flags = parts.next_u64()?;
-    let _exptime = parts.next_u64()?;
-    let nbytes = parts.next_u64()?;
-    if nbytes > buf.len() as u64 {
-        return None; // cannot be complete; also keeps usize math exact
-    }
-    let total = line_end + 2 + nbytes as usize + 2;
-    (buf.len() >= total && &buf[total - 2..total] == b"\r\n").then_some(total)
 }
 
 /// Parses one complete request as a batchable storage op: `set`/`add`/
@@ -1627,6 +1513,27 @@ mod tests {
         })
     }
 
+    /// Splits `buf` into its complete ASCII frames with [`scan_frame`],
+    /// as a connection's read buffer is split, and returns them with
+    /// the unframed tail.
+    fn ascii_frames(buf: &[u8]) -> (Vec<&[u8]>, &[u8]) {
+        let mut frames = Vec::new();
+        let mut rest = buf;
+        while let FrameScan::Ascii { len } = scan_frame(rest) {
+            frames.push(&rest[..len]);
+            rest = &rest[len..];
+        }
+        (frames, rest)
+    }
+
+    /// Executes every complete frame of `buf` as one run; the whole
+    /// buffer must frame.
+    fn run_ascii(c: &McCache, buf: &[u8]) -> Vec<u8> {
+        let (frames, tail) = ascii_frames(buf);
+        assert!(tail.is_empty(), "unframed tail {tail:?}");
+        execute_ascii_run(c, 0, &frames)
+    }
+
     #[test]
     fn ascii_pipeline_batches_storage_commands() {
         for c in [cache(), magazine_cache()] {
@@ -1636,7 +1543,7 @@ mod tests {
                         get a b\r\n\
                         set c 0 0 1\r\nC\r\n\
                         delete c\r\n";
-            let out = execute_ascii_pipeline(&c, 0, buf);
+            let out = run_ascii(&c, buf);
             let text = String::from_utf8(out).unwrap();
             assert_eq!(
                 text,
@@ -1654,14 +1561,17 @@ mod tests {
     #[test]
     fn ascii_pipeline_rejects_malformed_tail() {
         let c = cache();
-        let out = execute_ascii_pipeline(&c, 0, b"set k 0 0 1\r\nA\r\nbogus cmd\r\n");
+        let out = run_ascii(&c, b"set k 0 0 1\r\nA\r\nbogus cmd\r\n");
         assert_eq!(out, b"STORED\r\nERROR\r\n");
-        // A storage command with a short data block can't be framed; the
-        // unsplittable tail falls through to the single-request path.
-        let out = execute_ascii_pipeline(&c, 0, b"get k\r\nset x 0 0 10\r\nshort\r\n");
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("VALUE k 0 1\r\nA\r\nEND\r\n"), "{text}");
-        assert!(text.contains("CLIENT_ERROR"), "{text}");
+        // A data block without its trailing CRLF still frames at the
+        // declared length; the executor answers the bad chunk in order.
+        let out = run_ascii(&c, b"set x 0 0 5\r\nhelloXXget k\r\n");
+        assert_eq!(out, b"CLIENT_ERROR bad data chunk\r\nVALUE k 0 1\r\nA\r\nEND\r\n");
+        // A storage command with a short data block does not frame: the
+        // run answers what precedes it and the tail stays buffered.
+        let (frames, tail) = ascii_frames(b"get k\r\nset x 0 0 10\r\nshort\r\n");
+        assert_eq!(tail, b"set x 0 0 10\r\nshort\r\n");
+        assert_eq!(execute_ascii_run(&c, 0, &frames), b"VALUE k 0 1\r\nA\r\nEND\r\n");
     }
 
     #[test]
@@ -1739,9 +1649,8 @@ mod tests {
         assert_eq!(execute_ascii(&c, 0, b"delete n noreply\r\n"), b"");
         assert_eq!(execute_ascii(&c, 0, b"get n\r\n"), b"END\r\n");
         // Quiet ops inside a batched pipeline stay quiet; loud ones answer.
-        let out = execute_ascii_pipeline(
+        let out = run_ascii(
             &c,
-            0,
             b"set a 0 0 1 noreply\r\nA\r\nset b 0 0 1\r\nB\r\nset c 0 0 1 noreply\r\nC\r\n",
         );
         assert_eq!(out, b"STORED\r\n");
@@ -1845,7 +1754,6 @@ mod tests {
             b"CLIENT_ERROR bad data chunk\r\n".to_vec()
         );
         assert!(parse_store_op(huge.as_bytes()).is_none());
-        assert!(ascii_request_len(huge.as_bytes()).is_none());
         // A binary header promising a huge body closes too.
         let mut frame = vec![0u8; 24];
         frame[0] = binary::REQ_MAGIC;
@@ -1858,34 +1766,6 @@ mod tests {
             }
             other => panic!("expected Error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn ascii_pipeline_consumed_leaves_straddled_set() {
-        let c = cache();
-        // First socket read ends mid-data-block: nothing consumed.
-        let part = b"get missing\r\nset s 0 0 5\r\nhel";
-        let out = execute_ascii_pipeline_consumed(&c, 0, part);
-        assert_eq!(out.consumed, 13, "only the get consumed");
-        assert_eq!(out.responses, b"END\r\n");
-        assert_eq!((out.swallow, out.close), (0, false));
-        // Second read completes the block: the set executes.
-        let full = b"set s 0 0 5\r\nhello\r\nget s\r\n";
-        let out = execute_ascii_pipeline_consumed(&c, 0, full);
-        assert_eq!(out.consumed, full.len());
-        assert_eq!(out.responses, b"STORED\r\nVALUE s 0 5\r\nhello\r\nEND\r\n");
-    }
-
-    #[test]
-    fn ascii_pipeline_consumed_reports_error_state() {
-        let c = cache();
-        let buf = format!("set ok 0 0 1\r\nA\r\nset big 0 0 {}\r\n", ASCII_VALUE_MAX + 1);
-        let out = execute_ascii_pipeline_consumed(&c, 0, buf.as_bytes());
-        assert_eq!(out.consumed, buf.len());
-        assert_eq!(out.swallow, ASCII_VALUE_MAX + 3);
-        assert!(!out.close);
-        let text = String::from_utf8(out.responses).unwrap();
-        assert!(text.starts_with("STORED\r\nSERVER_ERROR object too large"), "{text}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Event-driven front-end conformance: the UDP frame protocol
 //! (multi-datagram reassembly, out-of-order request ids, malformed
 //! headers), the Unix-domain transport, the idle-connection reaper, and
-//! byte-for-byte equivalence between the epoll and poll backends —
+//! byte-for-byte equivalence with the in-process protocol executor —
 //! including 64 connections trickling frames one byte at a time.
 
 use std::collections::HashMap;
@@ -10,12 +10,12 @@ use std::net::{TcpStream, UdpSocket};
 use std::time::Duration;
 
 use mcache::net::udp::{decode_header, encode_header, UDP_HEADER, UDP_PAYLOAD_MAX};
-use mcache::net::{EventLoop, NetConfig, Server};
+use mcache::net::{NetConfig, Server};
+use mcache::proto::{self, FrameScan};
 use mcache::{Branch, McCache, McConfig, SlabConfig, Stage};
 
-fn server_with(net: NetConfig) -> Server {
-    let workers = net.workers;
-    let handle = McCache::start(McConfig {
+fn cache_config(workers: usize) -> McConfig {
+    McConfig {
         branch: Branch::It(Stage::OnCommit),
         workers,
         slab: SlabConfig {
@@ -29,16 +29,19 @@ fn server_with(net: NetConfig) -> Server {
         item_lock_power: 5,
         maintenance: false,
         ..Default::default()
-    });
+    }
+}
+
+fn server_with(net: NetConfig) -> Server {
+    let handle = McCache::start(cache_config(net.workers));
     Server::start(handle, net).expect("bind ephemeral server")
 }
 
-fn udp_server(event_loop: EventLoop) -> Server {
+fn udp_server() -> Server {
     server_with(NetConfig {
         addr: "127.0.0.1:0".to_string(),
         udp_addr: Some("127.0.0.1:0".to_string()),
         workers: 2,
-        event_loop,
         ..NetConfig::default()
     })
 }
@@ -106,7 +109,7 @@ fn udp_header_encode_decode_roundtrip() {
 
 #[test]
 fn udp_single_datagram_roundtrip() {
-    let srv = udp_server(EventLoop::default());
+    let srv = udp_server();
     let sock = udp_socket(&srv);
 
     udp_send(&sock, 7, b"set alpha 0 0 5\r\nhello\r\n");
@@ -120,7 +123,7 @@ fn udp_single_datagram_roundtrip() {
 
 #[test]
 fn udp_large_value_reassembles_from_multiple_datagrams() {
-    let srv = udp_server(EventLoop::default());
+    let srv = udp_server();
     let sock = udp_socket(&srv);
 
     // A value big enough that VALUE line + data + END spans >= 4
@@ -147,7 +150,7 @@ fn udp_large_value_reassembles_from_multiple_datagrams() {
 
 #[test]
 fn udp_out_of_order_request_ids_answer_independently() {
-    let srv = udp_server(EventLoop::default());
+    let srv = udp_server();
     let sock = udp_socket(&srv);
 
     udp_send(&sock, 3, b"set k1 0 0 3\r\none\r\n");
@@ -175,7 +178,7 @@ fn udp_out_of_order_request_ids_answer_independently() {
 
 #[test]
 fn udp_malformed_frames_counted_not_answered() {
-    let srv = udp_server(EventLoop::default());
+    let srv = udp_server();
     let sock = udp_socket(&srv);
     sock.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
 
@@ -289,25 +292,37 @@ fn unix_socket_serves_identical_bytes_to_tcp() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The wire answers the script byte for byte as the protocol layer
+/// does in process: `proto::execute_ascii` applied frame by frame on a
+/// fresh cache with the same config. The server coalesces the same
+/// frames into batched runs, so this also pins batching as invisible on
+/// the wire.
 #[test]
-fn poll_and_epoll_serve_identical_bytes() {
+fn wire_serves_the_in_process_reference_bytes() {
     let script = wire_script();
-    let mut outputs = Vec::new();
-    for event_loop in [EventLoop::Epoll, EventLoop::Poll] {
-        let srv = server_with(NetConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            event_loop,
-            ..NetConfig::default()
-        });
-        let mut s = TcpStream::connect(srv.local_addr()).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        s.write_all(&script).expect("script");
-        outputs.push(read_until_version(&mut s));
+    let srv = server_with(NetConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        ..NetConfig::default()
+    });
+    let mut s = TcpStream::connect(srv.local_addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.write_all(&script).expect("script");
+    let wire = read_until_version(&mut s);
+
+    let cache = McCache::start(cache_config(2));
+    let (mut reference, mut rest) = (Vec::new(), &script[..]);
+    while !rest.is_empty() {
+        let FrameScan::Ascii { len } = proto::scan_frame(rest) else {
+            panic!("the script must frame completely");
+        };
+        reference.extend_from_slice(&proto::execute_ascii(&cache, 0, &rest[..len]));
+        rest = &rest[len..];
     }
     assert_eq!(
-        outputs[0], outputs[1],
-        "epoll and poll backends must be byte-identical"
+        String::from_utf8_lossy(&wire),
+        String::from_utf8_lossy(&reference),
+        "wire bytes must equal the in-process reference"
     );
 }
 
@@ -403,32 +418,25 @@ fn sixty_four_connections_one_byte_at_a_time() {
 }
 
 #[test]
-fn idle_reaper_closes_stale_connections_on_both_backends() {
-    for event_loop in [EventLoop::Epoll, EventLoop::Poll] {
-        let srv = server_with(NetConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            event_loop,
-            idle_timeout_ms: 50,
-            ..NetConfig::default()
-        });
-        let mut s = TcpStream::connect(srv.local_addr()).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        // A partial frame parks the connection mid-request; only the
-        // reaper can ever close it.
-        s.write_all(b"get never-finis").expect("partial frame");
-        std::thread::sleep(Duration::from_millis(400));
-        let mut buf = [0u8; 64];
-        let n = s.read(&mut buf).expect("reaped connection reads EOF");
-        assert_eq!(n, 0, "server must have closed the idle connection");
-        let ns = srv.net_stats();
-        assert!(
-            ns.conn_timeouts >= 1,
-            "conn_timeouts={} must count the reap ({event_loop})",
-            ns.conn_timeouts
-        );
-        assert_eq!(ns.curr_connections, 0, "slot must be released ({event_loop})");
-    }
+fn idle_reaper_closes_stale_connections() {
+    let srv = server_with(NetConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        idle_timeout_ms: 50,
+        ..NetConfig::default()
+    });
+    let mut s = TcpStream::connect(srv.local_addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // A partial frame parks the connection mid-request; only the reaper
+    // can ever close it.
+    s.write_all(b"get never-finis").expect("partial frame");
+    std::thread::sleep(Duration::from_millis(400));
+    let mut buf = [0u8; 64];
+    let n = s.read(&mut buf).expect("reaped connection reads EOF");
+    assert_eq!(n, 0, "server must have closed the idle connection");
+    let ns = srv.net_stats();
+    assert!(ns.conn_timeouts >= 1, "conn_timeouts={} must count the reap", ns.conn_timeouts);
+    assert_eq!(ns.curr_connections, 0, "slot must be released");
 }
 
 #[test]
